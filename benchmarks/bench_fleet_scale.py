@@ -5,9 +5,7 @@ experiment's wall clock is bounded by one *shard*, not the whole
 fleet.  This benchmark pins both halves of that claim:
 
 * **determinism** — the report (minus the ``execution`` section) is
-  byte-identical for every worker count, always asserted; the
-  shared-memory blob path is additionally diffed against the
-  pickle-per-shard path at the highest worker count;
+  byte-identical for every worker count, always asserted;
 * **throughput** — 4 workers clear ``SPEEDUP_FLOOR`` (2x) over 1
   worker on a >= 64-device fleet.
 
@@ -22,13 +20,13 @@ Only ``execute_run`` is timed: the golden boot, snapshot encode and
 expected-measurement derivation happen once in ``prepare_run`` and are
 shared by every worker count, so the comparison isolates executor
 throughput.  Every timed run also records the per-stage wall-clock
-breakdown (blob ship, pool spin-up, worker-side hydrate/execute,
+breakdown (task build, pool spin-up, worker-side hydrate/execute,
 coordinator merge), so a sub-1.0 speedup is explained by its stage,
 not guessed at.
 
 The **large** configuration provisions ``FLEET_SCALE_LARGE_DEVICES``
-devices (default 10000) in one adaptive-shard shared-memory run and
-reports devices/sec as the headline.  Device states are lazy
+devices (default 10000) in one run with shards of
+``LARGE_SHARD_SIZE`` and reports devices/sec as the headline.  Device states are lazy
 zero-page-shared snapshots — the ~1.4 MB/device hydrated platforms
 exist only transiently inside each shard — so six-figure fleets fit in
 RAM.  Set the knob to 0 to skip it.
@@ -63,6 +61,9 @@ WORKER_COUNTS = tuple(
 LARGE_DEVICES = int(
     os.environ.get("FLEET_SCALE_LARGE_DEVICES", "10000")
 )
+#: Devices per shard in the large run: what measured-cost sizing once
+#: chose for the default 10k-device, 2-worker run.
+LARGE_SHARD_SIZE = 1024
 SPEEDUP_FLOOR = 2.0
 FLOOR_WORKERS = 4
 ENFORCE_CORES = 4
@@ -122,34 +123,18 @@ def test_fleet_scale():
         results[str(workers)] = {
             "workers": workers,
             "shards": execution["shards"],
-            "shared_blob": execution["shared_blob"],
             "seconds": round(elapsed, 3),
             "devices_per_sec": round(DEVICES * ROUNDS / elapsed, 1),
             "stages": _rounded_stages(stages),
         }
 
-    # The zero-copy blob path must be invisible in the payload: rerun
-    # the highest worker count with the blob pickled into every shard
-    # task and diff byte for byte.
-    repickle_workers = max(WORKER_COUNTS)
-    repickle_plan = ExecutionPlan(
-        workers=repickle_workers, shard_size=16, share_blob=False
-    )
-    repickle_report, _elapsed, _stages = _timed_run(
-        prepared, repickle_plan
-    )
-    repickle_execution = repickle_report.pop("execution")
-    assert repickle_execution["shared_blob"] is False
-    assert json.dumps(repickle_report, sort_keys=True) == baseline_json, (
-        "shared-memory and re-pickle blob paths diverged"
-    )
-
     # Trace-engine config: same prepared run through the trace tier.
     # Counters (fleet_trace_*) land in the metrics, so the comparison
     # drops the metrics section — engine choice may change cache
     # observability, never the attestation payload.
+    trace_workers = max(WORKER_COUNTS)
     trace_plan = ExecutionPlan(
-        workers=repickle_workers, shard_size=16, engine="trace"
+        workers=trace_workers, shard_size=16, engine="trace"
     )
     trace_report, trace_elapsed, _stages = _timed_run(
         prepared, trace_plan
@@ -163,7 +148,7 @@ def test_fleet_scale():
         baseline_sans_metrics, sort_keys=True
     ), "trace engine changed the attestation payload"
     trace_engine = {
-        "workers": repickle_workers,
+        "workers": trace_workers,
         "seconds": round(trace_elapsed, 3),
         "devices_per_sec": round(DEVICES * ROUNDS / trace_elapsed, 1),
         "counters": {
@@ -215,8 +200,7 @@ def test_fleet_scale():
         f"({floor_note})"
     )
     lines.append(
-        "  determinism: reports byte-identical across workers, "
-        "across shared-memory vs re-pickled blob shipping, and "
+        "  determinism: reports byte-identical across workers and "
         "across the fast vs trace execution engines"
     )
     # All-zero trace counters just mean the per-round window is below
@@ -244,7 +228,7 @@ def test_fleet_scale():
         lines.append(
             f"  large: {large['devices']} devices, "
             f"{large['workers']} worker(s), {large['shards']} "
-            f"adaptive shard(s) of <= {large['shard_size']}, "
+            f"shard(s) of <= {large['shard_size']}, "
             f"{large['seconds']:.1f}s — "
             f"{large['devices_per_sec']:.1f} devices/s"
         )
@@ -262,7 +246,6 @@ def test_fleet_scale():
             "host_cores": cores["usable"],
             "host_cores_evidence": cores,
             "deterministic_across_workers": True,
-            "deterministic_shm_vs_repickle": True,
             "deterministic_fast_vs_trace_engine": True,
             "workloads": results,
             "trace_engine": trace_engine,
@@ -281,8 +264,8 @@ def test_fleet_scale():
 def _run_large(cores: dict) -> dict | None:
     """The headline run: a five-figure fleet through one warm pool.
 
-    One configuration, sized by ``FLEET_SCALE_LARGE_DEVICES``: shared
-    blob, warm pool, adaptive shards, no guest stepping — pure
+    One configuration, sized by ``FLEET_SCALE_LARGE_DEVICES``: warm
+    pool, shards of ``LARGE_SHARD_SIZE``, no guest stepping — pure
     hydrate-attest-merge throughput.  Clone states are zero-page
     placeholders until a shard hydrates them, and each worker holds at
     most one shard's platforms at a time, so peak RAM is
@@ -296,11 +279,10 @@ def _run_large(cores: dict) -> dict | None:
         delay_min=0, delay_max=512, step_cycles=0,
     )
     prepared = prepare_run(config)
-    plan = ExecutionPlan(workers=workers, shard_size=None)
+    plan = ExecutionPlan(workers=workers, shard_size=LARGE_SHARD_SIZE)
     report, elapsed, stages = _timed_run(prepared, plan)
     assert report["ok"] is True
     execution = report["execution"]
-    assert execution["shared_blob"] is True
     return {
         "devices": LARGE_DEVICES,
         "workers": workers,

@@ -49,6 +49,7 @@ from repro.faults.plan import FaultPlan
 from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
 from repro.fleet.metrics import MetricsRegistry
+from repro.fleet.parallel import hydrate_devices
 from repro.fleet.service import device_key
 from repro.fleet.transport import (
     FaultModel,
@@ -128,14 +129,10 @@ class ScenarioTask:
 
 def _hydrate(task: ScenarioTask, device_id: int) -> FleetDevice:
     """Clone one device from the golden blob (per-process cached)."""
-    from repro.fleet.parallel import _cached_image, _cached_snapshot
-
-    snapshot = _cached_snapshot(task.snapshot_blob)
-    platform = snapshot.clone()
-    platform.image = _cached_image("attestation")
     key = device_key(task.seed, device_id)
-    platform.soc.crypto.set_key(key)
-    return FleetDevice(device_id, platform, key)
+    return hydrate_devices(
+        task.snapshot_blob, "attestation", {device_id: key}
+    )[device_id]
 
 
 def _attest(

@@ -7,19 +7,16 @@ the single-platform simulator out to a fleet:
   lossy, delayed, seed-deterministic in-process link;
 * :mod:`repro.fleet.device` — the device endpoint: live code
   re-measurement MAC'd under a per-device key, replay protection;
-* :mod:`repro.fleet.verifier` — batched challenges, a worker pool over
-  device endpoints, healthy/compromised/unresponsive verdicts with
-  retry and timeout in simulated cycles;
+* :mod:`repro.fleet.verifier` — batched challenges over device
+  endpoints, healthy/compromised/unresponsive verdicts with retry and
+  timeout in simulated cycles;
 * :mod:`repro.fleet.metrics` — counters and latency histograms
   exported as JSON;
 * :mod:`repro.fleet.parallel` — the sharded executor: the fleet cut
   into worker-count-independent shards, each hydrated from the encoded
   golden snapshot on a process pool, with an order-independent
   streaming merge (:class:`~repro.fleet.parallel.ShardMerger`);
-* :mod:`repro.fleet.shm` — the golden blob shipped once per run via
-  POSIX shared memory with guaranteed unlink;
-* :mod:`repro.fleet.pool` — persistent warm worker pools and
-  measured-cost adaptive shard sizing;
+* :mod:`repro.fleet.pool` — persistent warm worker pools;
 * :mod:`repro.fleet.service` — the one-call experiment: boot one
   golden image, snapshot-clone N devices, tamper some, attest all;
 * :mod:`repro.fleet.loadgen` — seeded open-loop traffic: Poisson
@@ -53,6 +50,7 @@ from repro.fleet.parallel import (
     QuoteCheckBatch,
     ShardMerger,
     ShardTask,
+    hydrate_devices,
     merge_shard_results,
     run_shard,
     run_shards,
@@ -60,10 +58,7 @@ from repro.fleet.parallel import (
     verify_quote_batch,
 )
 from repro.fleet.pool import (
-    CostModel,
     PoolStats,
-    adaptive_shard_size,
-    cost_model,
     discard_warm_pool,
     get_warm_pool,
     pool_stats,
@@ -78,14 +73,12 @@ from repro.fleet.server import (
 from repro.fleet.service import (
     FleetConfig,
     PreparedRun,
-    build_fleet,
     device_key,
     execute_run,
     format_report,
     prepare_run,
     run_fleet,
 )
-from repro.fleet.shm import SharedBlob, SharedBlobRef, attach_ref
 from repro.fleet.transport import (
     FaultModel,
     InProcessTransport,
@@ -105,7 +98,6 @@ __all__ = [
     "Arrival",
     "AttestationService",
     "COMPROMISED",
-    "CostModel",
     "Counter",
     "DeviceVerdict",
     "ENGINE_FAST",
@@ -129,17 +121,11 @@ __all__ = [
     "RecoveryLog",
     "RetryPolicy",
     "ServiceConfig",
-    "SharedBlob",
-    "SharedBlobRef",
     "ShardMerger",
     "ShardTask",
     "TransportStats",
     "UNRESPONSIVE",
-    "adaptive_shard_size",
-    "attach_ref",
-    "build_fleet",
     "build_schedule",
-    "cost_model",
     "device_key",
     "discard_warm_pool",
     "engine_kwargs",
@@ -148,6 +134,7 @@ __all__ = [
     "format_report",
     "format_serve_report",
     "get_warm_pool",
+    "hydrate_devices",
     "merge_shard_results",
     "pool_stats",
     "prepare_run",

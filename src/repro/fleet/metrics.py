@@ -2,14 +2,10 @@
 
 A tiny Prometheus-shaped registry for the fleet verifier.  Everything
 is measured in *simulated cycles* (never wall clock), so two runs with
-the same seed export byte-identical JSON.  Counters and histograms are
-individually locked because the verifier's worker pool observes them
-from device-stepper threads.
+the same seed export byte-identical JSON.
 """
 
 from __future__ import annotations
-
-import threading
 
 
 class Counter:
@@ -18,11 +14,9 @@ class Counter:
     def __init__(self, name: str) -> None:
         self.name = name
         self._value = 0
-        self._lock = threading.Lock()
 
     def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     @property
     def value(self) -> int:
@@ -35,11 +29,9 @@ class Histogram:
     def __init__(self, name: str) -> None:
         self.name = name
         self._values: list[int] = []
-        self._lock = threading.Lock()
 
     def observe(self, value: int) -> None:
-        with self._lock:
-            self._values.append(value)
+        self._values.append(value)
 
     @property
     def count(self) -> int:
@@ -48,17 +40,15 @@ class Histogram:
     @property
     def values(self) -> list[int]:
         """A copy of every observation (raw export for shard merging)."""
-        with self._lock:
-            return list(self._values)
+        return list(self._values)
 
     def percentile(self, pct: float) -> int:
         """Nearest-rank percentile; 0 on an empty histogram."""
-        with self._lock:
-            if not self._values:
-                return 0
-            ordered = sorted(self._values)
-            rank = max(1, -(-len(ordered) * pct // 100))  # ceil
-            return ordered[int(rank) - 1]
+        if not self._values:
+            return 0
+        ordered = sorted(self._values)
+        rank = max(1, -(-len(ordered) * pct // 100))  # ceil
+        return ordered[int(rank) - 1]
 
     @property
     def p50(self) -> int:
@@ -73,14 +63,8 @@ class Histogram:
         return self.percentile(99)
 
     def percentiles(self, pcts: tuple[float, ...] = (50, 95, 99)) -> dict:
-        """``{"p50": ..., "p95": ..., "p99": ...}`` in one sort.
-
-        One snapshot of the observations serves every requested
-        percentile, so the answers are mutually consistent even while
-        other threads keep observing.
-        """
-        with self._lock:
-            ordered = sorted(self._values)
+        """``{"p50": ..., "p95": ..., "p99": ...}`` in one sort."""
+        ordered = sorted(self._values)
         result = {}
         for pct in pcts:
             key = f"p{pct:g}"
@@ -92,8 +76,7 @@ class Histogram:
         return result
 
     def summary(self) -> dict:
-        with self._lock:
-            values = sorted(self._values)
+        values = sorted(self._values)
         if not values:
             return {"count": 0}
 
@@ -117,19 +100,16 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._lock = threading.Lock()
 
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            if name not in self._counters:
-                self._counters[name] = Counter(name)
-            return self._counters[name]
+        if name not in self._counters:
+            self._counters[name] = Counter(name)
+        return self._counters[name]
 
     def histogram(self, name: str) -> Histogram:
-        with self._lock:
-            if name not in self._histograms:
-                self._histograms[name] = Histogram(name)
-            return self._histograms[name]
+        if name not in self._histograms:
+            self._histograms[name] = Histogram(name)
+        return self._histograms[name]
 
     def to_dict(self) -> dict:
         return {

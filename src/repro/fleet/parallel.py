@@ -40,7 +40,6 @@ from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.pool import _CRASH_ENV  # noqa: F401  (re-export)
-from repro.fleet.shm import SharedBlobRef, attach_ref
 from repro.fleet.transport import FaultModel, InProcessTransport
 from repro.fleet.verifier import FleetVerifier
 from repro.machine.snapcodec import decode_snapshot
@@ -71,26 +70,19 @@ class ExecutionPlan:
     """How a fleet run is executed (never *what* it computes).
 
     ``workers`` is the process count, ``shard_size`` the devices per
-    shard (``None`` asks :func:`repro.fleet.pool.adaptive_shard_size`
-    to size shards from measured per-device cost), ``engine`` the
-    execution engine of the hydrated clones.  ``share_blob`` ships the
-    golden blob once via shared memory instead of pickling it into
-    every shard task; ``reuse_pool`` draws workers from the persistent
-    warm-pool registry.  None of these may change verdicts or
-    aggregated metrics — the determinism tests hold the plan's knobs
-    against each other.
+    shard, ``engine`` the execution engine of the hydrated clones.
+    None of these may change verdicts or aggregated metrics — the
+    determinism tests hold the plan's knobs against each other.
     """
 
     workers: int = 1
-    shard_size: int | None = DEFAULT_SHARD_SIZE
+    shard_size: int = DEFAULT_SHARD_SIZE
     engine: str = ENGINE_FAST
-    share_blob: bool = True
-    reuse_pool: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise FleetError(f"workers must be >= 1: {self.workers}")
-        if self.shard_size is not None and self.shard_size < 1:
+        if self.shard_size < 1:
             raise FleetError(
                 f"shard_size must be >= 1: {self.shard_size}"
             )
@@ -102,16 +94,10 @@ class ExecutionPlan:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything one shard needs, as plain picklable data.
-
-    ``snapshot_blob`` is either the encoded golden snapshot itself or
-    a :class:`~repro.fleet.shm.SharedBlobRef` naming the shared-memory
-    segment the coordinator published it into — the worker decodes the
-    identical bytes either way.
-    """
+    """Everything one shard needs, as plain picklable data."""
 
     shard_index: int
-    snapshot_blob: bytes | SharedBlobRef
+    snapshot_blob: bytes
     image_name: str
     device_ids: tuple[int, ...]
     compromised: tuple[int, ...]
@@ -165,24 +151,8 @@ _IMAGE_CACHE: dict[str, object] = {}
 _CACHE_LIMIT = 4
 
 
-def _cached_snapshot(blob):
-    """Decoded golden snapshot for ``blob`` (bytes or SharedBlobRef).
-
-    The cache keys on the blob's sha256 in both cases, so a worker
-    that sees the same golden image as bytes and as a shared segment
-    still decodes it exactly once.
-    """
-    if isinstance(blob, SharedBlobRef):
-        digest = blob.digest
-        snapshot = _SNAPSHOT_CACHE.get(digest)
-        if snapshot is None:
-            if len(_SNAPSHOT_CACHE) >= _CACHE_LIMIT:
-                _SNAPSHOT_CACHE.clear()
-            # Decode straight out of the mapped read-only view — the
-            # stream is never copied into worker heap.
-            snapshot = attach_ref(blob, decode_snapshot)
-            _SNAPSHOT_CACHE[digest] = snapshot
-        return snapshot
+def _cached_snapshot(blob: bytes):
+    """Decoded golden snapshot for ``blob``, keyed on its sha256."""
     digest = hashlib.sha256(blob).digest()
     snapshot = _SNAPSHOT_CACHE.get(digest)
     if snapshot is None:
@@ -202,6 +172,41 @@ def _cached_image(name: str):
         image = builders[name]()
         _IMAGE_CACHE[name] = image
     return image
+
+
+def hydrate_devices(
+    snapshot_blob: bytes,
+    image_name: str,
+    keys: dict[int, bytes],
+    *,
+    engine: str = ENGINE_FAST,
+    trace_capacity: int = 0,
+    compromised=(),
+) -> dict[int, FleetDevice]:
+    """Clone one :class:`FleetDevice` per ``keys`` entry from the blob.
+
+    The one hydration path of the batch fleet, the service and the
+    fault campaign: decode the golden snapshot (cached per process),
+    clone it on ``engine``, re-attach the image (a decoded snapshot
+    carries no host handles, and tampering needs the image's layouts),
+    load the device key, add a ring-buffer tracer when
+    ``trace_capacity`` is set, then tamper the ``compromised`` ids.
+    """
+    snapshot = _cached_snapshot(snapshot_blob)
+    image = _cached_image(image_name)
+    clone_kwargs = engine_kwargs(engine)
+    devices: dict[int, FleetDevice] = {}
+    for device_id, key in keys.items():
+        platform = snapshot.clone(**clone_kwargs)
+        platform.image = image
+        platform.soc.crypto.set_key(key)
+        tracer = Tracer(capacity=trace_capacity) if trace_capacity else None
+        devices[device_id] = FleetDevice(
+            device_id, platform, key, tracer=tracer
+        )
+    for device_id in compromised:
+        devices[device_id].tamper_code()
+    return devices
 
 
 def collect_device_perf(device: FleetDevice, metrics: MetricsRegistry) -> None:
@@ -272,28 +277,15 @@ def run_shard(task: ShardTask) -> dict:
     """
     _maybe_crash_for_test(task.shard_index)
     hydrate_started = time.perf_counter()
-    snapshot = _cached_snapshot(task.snapshot_blob)
-    image = _cached_image(task.image_name)
     keys = dict(task.keys)
-    engine = engine_kwargs(task.engine)
-    devices: dict[int, FleetDevice] = {}
-    for device_id in task.device_ids:
-        platform = snapshot.clone(**engine)
-        # The decoded snapshot carries no host handles; re-attach the
-        # worker's own copy of the built image (tampering needs its
-        # layouts).
-        platform.image = image
-        key = keys[device_id]
-        platform.soc.crypto.set_key(key)
-        tracer = (
-            Tracer(capacity=task.trace_capacity)
-            if task.trace_capacity else None
-        )
-        devices[device_id] = FleetDevice(
-            device_id, platform, key, tracer=tracer
-        )
-    for device_id in task.compromised:
-        devices[device_id].tamper_code()
+    devices = hydrate_devices(
+        task.snapshot_blob,
+        task.image_name,
+        keys,
+        engine=task.engine,
+        trace_capacity=task.trace_capacity,
+        compromised=task.compromised,
+    )
     execute_started = time.perf_counter()
 
     metrics = MetricsRegistry()
@@ -308,7 +300,7 @@ def run_shard(task: ShardTask) -> dict:
     verifier = FleetVerifier(
         devices,
         transport,
-        {device_id: keys[device_id] for device_id in devices},
+        keys,
         list(task.expected_rows),
         seed=task.seed,
         timeout_cycles=task.timeout_cycles,
@@ -466,7 +458,6 @@ def run_shards(
     policy: RetryPolicy | None = None,
     recovery: RecoveryLog | None = None,
     consume=None,
-    reuse_pool: bool = True,
 ) -> list[dict] | None:
     """Execute every shard on ``workers`` processes.
 
@@ -484,8 +475,8 @@ def run_shards(
     the index) each result is streamed out in completion order and
     dropped; the return value is ``None``.  Without it, results are
     returned sorted by shard index.  ``workers=1`` runs inline (same
-    pure function, no pool).  ``reuse_pool`` keeps the worker pool
-    warm across calls.
+    pure function, no pool); more workers draw the warm pool of
+    :mod:`repro.fleet.pool`.
     """
     results = run_resilient(
         run_shard,
@@ -495,7 +486,6 @@ def run_shards(
         policy=policy,
         log=recovery,
         consume=consume,
-        reuse_pool=reuse_pool,
     )
     if consume is not None:
         return None

@@ -1,21 +1,12 @@
-"""Persistent warm worker pools and adaptive shard sizing.
+"""Persistent warm worker pools.
 
-Profiling the PR 4 executor showed two fixed costs eating the
-parallelism: every round built (and tore down) a fresh
-``ProcessPoolExecutor`` — fork, import, first-task warmup — and every
-fleet paid a per-shard dispatch overhead that dwarfed small shards.
-This module removes both:
-
-* :func:`get_warm_pool` hands out a **process pool that persists
-  across calls** (rounds, ``execute_run`` invocations,
-  ``AttestationService`` batches) keyed by worker count.  Pools are
-  forked eagerly and verified idle-alive; a pool whose workers died —
-  or whose fork-time environment went stale (see below) — is rebuilt
-  transparently.
-* :class:`CostModel` keeps an EWMA of measured per-device seconds and
-  :func:`adaptive_shard_size` turns it into a shard size that
-  amortizes dispatch overhead while still giving every worker a few
-  shards to balance across.
+Building a fresh ``ProcessPoolExecutor`` for every round — fork,
+import, first-task warmup — ate the parallelism of small runs, so
+:func:`get_warm_pool` hands out a **process pool that persists across
+calls** (rounds, ``execute_run`` invocations, ``AttestationService``
+batches) keyed by worker count.  Pools are forked eagerly and verified
+idle-alive; a pool whose workers died — or whose fork-time environment
+went stale (see below) — is rebuilt transparently.
 
 The crash-injection hook ``REPRO_FLEET_TEST_CRASH`` (consumed in
 :func:`repro.fleet.parallel._maybe_crash_for_test`) reads the
@@ -32,7 +23,7 @@ import atexit
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import FleetError
 
@@ -161,84 +152,3 @@ def shutdown_warm_pools() -> None:
 
 atexit.register(shutdown_warm_pools)
 
-
-# ---------------------------------------------------------------------------
-# Adaptive shard sizing.
-
-#: Target shards per worker: enough slack for the pool to balance a
-#: crashed/slow worker's queue across survivors, few enough that the
-#: per-shard dispatch overhead stays amortized.
-SHARDS_PER_WORKER = 4
-
-#: Per-shard dispatch overhead budget: size shards so the measured
-#: device work per shard is at least this many seconds.
-MIN_SHARD_SECONDS = 0.25
-
-MIN_SHARD_DEVICES = 4
-MAX_SHARD_DEVICES = 1024
-
-
-@dataclass
-class CostModel:
-    """EWMA of measured per-device wall seconds (coordinator-side).
-
-    Purely advisory: it sizes shards for the *next* run, never changes
-    what any run computes.  ``alpha`` weights the newest observation.
-    """
-
-    alpha: float = 0.4
-    per_device_s: float | None = None
-    observations: int = 0
-    _history: list = field(default_factory=list)
-
-    def observe(self, devices: int, seconds: float) -> None:
-        if devices < 1 or seconds <= 0:
-            return
-        sample = seconds / devices
-        if self.per_device_s is None:
-            self.per_device_s = sample
-        else:
-            self.per_device_s += self.alpha * (sample - self.per_device_s)
-        self.observations += 1
-        self._history.append(sample)
-
-
-_COST_MODEL = CostModel()
-
-
-def cost_model() -> CostModel:
-    return _COST_MODEL
-
-
-def adaptive_shard_size(
-    devices: int,
-    workers: int,
-    *,
-    per_device_s: float | None = None,
-) -> int:
-    """Devices per shard for this fleet, from measured per-device cost.
-
-    Two pressures, clamped to ``[MIN_SHARD_DEVICES, MAX_SHARD_DEVICES]``
-    (and the fleet size):
-
-    * **balance** — about :data:`SHARDS_PER_WORKER` shards per worker,
-      so stragglers and requeued shards level out;
-    * **amortization** — a shard should carry at least
-      :data:`MIN_SHARD_SECONDS` of measured device work, so dispatch
-      overhead cannot dominate when devices are cheap.
-
-    With no cost measurement yet, balance alone decides.
-    """
-    if devices < 1:
-        raise FleetError("cannot size shards for an empty fleet")
-    if workers < 1:
-        raise FleetError(f"workers must be >= 1: {workers}")
-    if per_device_s is None:
-        per_device_s = _COST_MODEL.per_device_s
-    balance = max(1, devices // (workers * SHARDS_PER_WORKER))
-    size = balance
-    if per_device_s and per_device_s > 0:
-        amortized = int(MIN_SHARD_SECONDS / per_device_s) + 1
-        size = max(balance, amortized)
-    size = max(MIN_SHARD_DEVICES, min(size, MAX_SHARD_DEVICES))
-    return min(size, devices)

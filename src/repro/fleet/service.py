@@ -35,7 +35,6 @@ from repro.core.platform import TrustLitePlatform
 from repro.core.trustlet_table import name_tag
 from repro.crypto import mac, sponge_hash
 from repro.errors import FleetError
-from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy
 from repro.fleet.parallel import (
     ExecutionPlan,
@@ -44,8 +43,7 @@ from repro.fleet.parallel import (
     run_shards,
     shard_ids,
 )
-from repro.fleet.pool import adaptive_shard_size, cost_model, pool_stats
-from repro.fleet.shm import SharedBlob
+from repro.fleet.pool import pool_stats
 from repro.fleet.verifier import COMPROMISED, HEALTHY, UNRESPONSIVE
 from repro.machine.snapcodec import encode_snapshot
 from repro.machine.snapshot import Snapshot
@@ -113,28 +111,6 @@ def device_key(seed: int, device_id: int) -> bytes:
     """Per-device symmetric key (manufacturing-time provisioning)."""
     master = sponge_hash(f"fleet-master:{seed}".encode("ascii"))
     return mac(master, b"device:" + device_id.to_bytes(4, "little"))
-
-
-def build_fleet(
-    config: FleetConfig,
-) -> tuple[dict[int, FleetDevice], Snapshot, object]:
-    """Boot the golden image once, clone it into the fleet.
-
-    The in-process path (examples, single-host experiments).  The
-    sharded executor does the same hydration worker-side from the
-    encoded snapshot — see :func:`repro.fleet.parallel.run_shard`.
-    """
-    golden = TrustLitePlatform()
-    image = build_attestation_image()
-    golden.boot(image)
-    snapshot = Snapshot.save(golden)
-    devices: dict[int, FleetDevice] = {}
-    for device_id in range(config.devices):
-        key = device_key(config.seed, device_id)
-        platform = snapshot.clone()
-        platform.soc.crypto.set_key(key)
-        devices[device_id] = FleetDevice(device_id, platform, key)
-    return devices, snapshot, image
 
 
 @dataclass(frozen=True)
@@ -215,38 +191,10 @@ def prepare_run(config: FleetConfig) -> PreparedRun:
     )
 
 
-def _resolve_shard_size(
-    prepared: PreparedRun, plan: ExecutionPlan
-) -> int:
-    """The plan's shard size, or an adaptive one from measured cost.
-
-    Sizing is coordinator-side policy: it changes the partition, and
-    the partition never depends on worker count — only on (devices,
-    shard_size) — so a *pinned* shard size still reproduces the exact
-    shard set on any host.  Adaptive runs trade that pin for measured
-    amortization.
-    """
-    if plan.shard_size is not None:
-        return plan.shard_size
-    config = prepared.config
-    per_round = cost_model().per_device_s
-    return adaptive_shard_size(
-        config.devices,
-        plan.workers,
-        per_device_s=(
-            per_round * config.rounds if per_round else None
-        ),
-    )
-
-
 def _shard_tasks(
-    prepared: PreparedRun, shard_size: int, blob, engine: str
+    prepared: PreparedRun, shard_size: int, engine: str
 ) -> list[ShardTask]:
-    """Cut the prepared run into shard tasks (worker-count agnostic).
-
-    ``blob`` is what workers hydrate from: the encoded snapshot bytes
-    or a :class:`~repro.fleet.shm.SharedBlobRef` to them.
-    """
+    """Cut the prepared run into shard tasks (worker-count agnostic)."""
     config = prepared.config
     keys = dict(prepared.keys)
     compromised = set(prepared.expected_compromised)
@@ -257,7 +205,7 @@ def _shard_tasks(
         tasks.append(
             ShardTask(
                 shard_index=index,
-                snapshot_blob=blob,
+                snapshot_blob=prepared.snapshot_blob,
                 image_name=prepared.image_name,
                 device_ids=ids,
                 compromised=tuple(
@@ -312,55 +260,37 @@ def execute_run(
     The report carries no wall-clock fields, and the ``execution``
     section is the only part that mentions the plan or what recovery
     the self-healing executor performed — pop it and two reports from
-    different worker counts (or with and without worker crashes, or
-    shared-memory vs pickled blob shipping) compare byte for byte.
+    different worker counts (or with and without worker crashes)
+    compare byte for byte.
 
     Pass a ``stage_timings`` dict to receive the per-stage wall-clock
     breakdown (``ship_s``, ``pool_spinup_s``, ``hydrate_s``,
     ``shard_execute_s``, ``merge_s``, ``execute_wall_s``) — kept out
     of the report on purpose.
 
-    With ``plan.share_blob`` (default) and ``workers > 1`` the golden
-    blob is published into one shared-memory segment and every shard
-    task carries a tiny reference; the segment is unlinked in a
-    ``finally``, so it survives worker crashes and pool rebuilds but
-    never a completed (or failed) run.  Shard results are folded as
-    they complete (:class:`~repro.fleet.parallel.ShardMerger`), so the
-    coordinator holds O(1) shard results, not O(shards).
+    Shard results are folded as they complete
+    (:class:`~repro.fleet.parallel.ShardMerger`), so the coordinator
+    holds O(1) shard results, not O(shards).
     """
     plan = plan or ExecutionPlan()
     config = prepared.config
-    shard_size = _resolve_shard_size(prepared, plan)
-    share = plan.share_blob and plan.workers > 1
     recovery = RecoveryLog()
     merger = ShardMerger(rounds=config.rounds)
     spinup_before = pool_stats().spinup_seconds
-    shared = None
-    try:
-        ship_started = time.perf_counter()
-        if share:
-            shared = SharedBlob.create(prepared.snapshot_blob)
-            blob = shared.ref
-        else:
-            blob = prepared.snapshot_blob
-        tasks = _shard_tasks(prepared, shard_size, blob, plan.engine)
-        ship_s = time.perf_counter() - ship_started
+    ship_started = time.perf_counter()
+    tasks = _shard_tasks(prepared, plan.shard_size, plan.engine)
+    ship_s = time.perf_counter() - ship_started
 
-        execute_started = time.perf_counter()
-        run_shards(
-            tasks,
-            plan.workers,
-            policy=policy,
-            recovery=recovery,
-            consume=lambda _index, result: merger.add(result),
-            reuse_pool=plan.reuse_pool,
-        )
-        execute_wall = time.perf_counter() - execute_started
-    finally:
-        if shared is not None:
-            shared.unlink()
+    execute_started = time.perf_counter()
+    run_shards(
+        tasks,
+        plan.workers,
+        policy=policy,
+        recovery=recovery,
+        consume=lambda _index, result: merger.add(result),
+    )
+    execute_wall = time.perf_counter() - execute_started
     merged_rounds, metrics, transport = merger.finish()
-    cost_model().observe(config.devices * config.rounds, execute_wall)
     if stage_timings is not None:
         stage_timings.update(
             {
@@ -426,11 +356,9 @@ def execute_run(
         "metrics": metrics.to_dict(),
         "execution": {
             "workers": plan.workers,
-            "shard_size": shard_size,
+            "shard_size": plan.shard_size,
             "shards": len(tasks),
             "engine": plan.engine,
-            "shared_blob": share,
-            "pool_reuse": plan.reuse_pool,
             "recovery": recovery.to_dict(),
         },
     }

@@ -1,8 +1,8 @@
-"""The fleet verifier: batched challenges, worker pool, verdicts.
+"""The fleet verifier: batched challenges, verdicts.
 
 One attestation *round* challenges every device, steps the device
-endpoints on a worker pool, collects responses off the transport and
-classifies each device:
+endpoints in ascending id order, collects responses off the transport
+and classifies each device:
 
 * ``healthy``      — quote matches the expected fleet quote;
 * ``compromised``  — a quote arrived but the MAC is wrong (live code
@@ -14,13 +14,12 @@ The clock is simulated: each attempt advances ``now`` by the timeout
 window, and per-device round latency (challenge link delay + quote
 computation + response link delay, in cycles) lands in the
 ``fleet_round_latency_cycles`` histogram.  All verdicts are a pure
-function of (devices, transport seed, nonce seed), because every
-mutable thing a worker thread touches is keyed by device id.
+function of (devices, transport seed, nonce seed), because every link
+fault and nonce stream is keyed by device id.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.crypto import constant_time_equal
@@ -77,7 +76,6 @@ class FleetVerifier:
         timeout_cycles: int = 8192,
         max_retries: int = 2,
         backoff: float = 1.0,
-        workers: int = 8,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if set(devices) != set(device_keys):
@@ -95,7 +93,6 @@ class FleetVerifier:
         self.timeout_cycles = timeout_cycles
         self.max_retries = max_retries
         self.backoff = backoff
-        self.workers = max(1, workers)
         self.metrics = metrics or MetricsRegistry()
         self.now = 0
         self._seq: dict[int, int] = {i: 0 for i in devices}
@@ -132,7 +129,7 @@ class FleetVerifier:
         return _Outstanding(nonce=nonce, seq=seq, sent_at=self.now)
 
     def _device_turn(self, device: FleetDevice, horizon: int) -> None:
-        """One device's endpoint loop up to ``horizon`` (worker thread).
+        """One device's endpoint loop up to ``horizon``.
 
         A device whose endpoint *errors* while answering (corrupted
         trustlet table, crashed measurement) simply stays silent — the
@@ -203,15 +200,8 @@ class FleetVerifier:
                 1, int(self.timeout_cycles * self.backoff ** (attempts - 1))
             )
             horizon = self.now + window
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = [
-                    pool.submit(
-                        self._device_turn, self.devices[device_id], horizon
-                    )
-                    for device_id in pending
-                ]
-                for future in futures:
-                    future.result()
+            for device_id in pending:
+                self._device_turn(self.devices[device_id], horizon)
             still_pending = []
             for device_id in pending:
                 verdict = self._judge(

@@ -33,6 +33,9 @@ Design points:
 
 from __future__ import annotations
 
+import functools
+
+from repro.codec import Reader, write_uvarint
 from repro.errors import SnapcodecError
 from repro.machine.irq import Interrupt
 from repro.machine.snapshot import (
@@ -72,18 +75,11 @@ _T_PAGED = 7
 
 
 # ---------------------------------------------------------------------------
-# Primitive layer: canonical varints.
+# Primitive layer: canonical varints (shared with the TLFW codec).
 
 
-def _write_uvarint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+_write_uvarint = functools.partial(write_uvarint, error=SnapcodecError)
+_Reader = functools.partial(Reader, error=SnapcodecError, what="stream")
 
 
 def _write_svarint(out: bytearray, value: int) -> None:
@@ -92,55 +88,6 @@ def _write_svarint(out: bytearray, value: int) -> None:
         _write_uvarint(out, value << 1)
     else:
         _write_uvarint(out, ((-value) << 1) - 1)
-
-
-class _Reader:
-    """Bounds-checked cursor over an immutable byte buffer.
-
-    Accepts ``bytes`` or a read-only :class:`memoryview` — the fleet's
-    shared-memory path decodes straight out of the mapped segment
-    without ever copying the stream.  :meth:`take` returns a slice of
-    whatever the buffer is; decode sites that let byte data escape the
-    reader's lifetime convert with ``bytes()``.
-    """
-
-    def __init__(self, data) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if count < 0 or end > len(self.data):
-            raise SnapcodecError(
-                f"truncated stream: need {count} byte(s) at offset "
-                f"{self.pos}, have {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def uvarint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self.take(1)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                if shift and byte == 0:
-                    raise SnapcodecError(
-                        f"non-canonical varint at offset {self.pos}"
-                    )
-                return value
-            shift += 7
-            if shift > 70:
-                raise SnapcodecError("varint exceeds 64 bits")
-
-    def svarint(self) -> int:
-        raw = self.uvarint()
-        return (raw >> 1) ^ -(raw & 1)
-
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +155,7 @@ def _encode_paged(out: bytearray, blob: bytes) -> None:
         out += page
 
 
-def _decode_value(reader: _Reader, depth: int = 0):
+def _decode_value(reader: Reader, depth: int = 0):
     if depth > 16:
         raise SnapcodecError("value nesting exceeds codec limits")
     tag = reader.take(1)[0]
@@ -221,9 +168,9 @@ def _decode_value(reader: _Reader, depth: int = 0):
     if tag == _T_INT:
         return reader.svarint()
     if tag == _T_BYTES:
-        return bytes(reader.take(reader.uvarint()))
+        return reader.take(reader.uvarint())
     if tag == _T_STR:
-        raw = bytes(reader.take(reader.uvarint()))
+        raw = reader.take(reader.uvarint())
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -353,13 +300,9 @@ def decode_snapshot(data: bytes) -> Snapshot:
         raise SnapcodecError(
             f"snapshot stream must be bytes, not {type(data).__name__}"
         )
-    # A memoryview decodes in place (the shared-memory fleet path maps
-    # the golden blob once per host and never copies the stream); a
-    # bytearray is copied so the stream cannot mutate mid-decode.
-    reader = _Reader(
-        data if isinstance(data, memoryview) else bytes(data)
-    )
-    if bytes(reader.take(len(MAGIC))) != MAGIC:
+    # Copied, so the stream cannot mutate mid-decode.
+    reader = _Reader(bytes(data))
+    if reader.take(len(MAGIC)) != MAGIC:
         raise SnapcodecError("bad magic: not a snapshot stream")
     version = reader.uvarint()
     if version != VERSION:

@@ -334,7 +334,6 @@ def _attest(
         rows,
         seed=task.seed,
         timeout_cycles=task.timeout_cycles,
-        workers=1,
     )
     verdict = verifier.run_round()[task.device_id]
     return verdict.to_dict()

@@ -25,8 +25,10 @@ refusal modes apart.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
+from repro.codec import Reader, write_uvarint
 from repro.crypto import DIGEST_SIZE, constant_time_equal, mac, sponge_hash
 from repro.errors import ContainerError, RollbackError, SignatureError
 
@@ -111,20 +113,11 @@ class FirmwareContainer:
 
 
 # ---------------------------------------------------------------------------
-# Primitive layer: canonical varints + strict reader.
+# Primitive layer: the shared canonical varints and strict reader
+# (:mod:`repro.codec`) plus length-prefixed blobs and names.
 
 
-def _write_uvarint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ContainerError(f"cannot encode negative varint: {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+_write_uvarint = functools.partial(write_uvarint, error=ContainerError)
 
 
 def _write_bytes(out: bytearray, blob: bytes) -> None:
@@ -136,39 +129,11 @@ def _write_str(out: bytearray, text: str) -> None:
     _write_bytes(out, text.encode("utf-8"))
 
 
-class _Reader:
-    """Bounds-checked cursor; every failure is a ContainerError."""
+class _Reader(Reader):
+    """The shared strict reader plus capped blobs and names."""
 
     def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if count < 0 or end > len(self.data):
-            raise ContainerError(
-                f"truncated container: need {count} byte(s) at offset "
-                f"{self.pos}, have {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def uvarint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self.take(1)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                if shift and byte == 0:
-                    raise ContainerError(
-                        f"non-canonical varint at offset {self.pos}"
-                    )
-                return value
-            shift += 7
-            if shift > 70:
-                raise ContainerError("varint exceeds 64 bits")
+        super().__init__(data, ContainerError, "container")
 
     def blob(self, *, cap: int, what: str) -> bytes:
         count = self.uvarint()
@@ -176,7 +141,7 @@ class _Reader:
             raise ContainerError(
                 f"{what} of {count} byte(s) exceeds the {cap}-byte cap"
             )
-        return bytes(self.take(count))
+        return self.take(count)
 
     def string(self, *, what: str) -> str:
         raw = self.blob(cap=MAX_NAME_BYTES, what=what)
@@ -184,9 +149,6 @@ class _Reader:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ContainerError(f"malformed {what}: {exc}") from exc
-
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
 
 
 # ---------------------------------------------------------------------------

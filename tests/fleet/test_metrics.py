@@ -1,7 +1,5 @@
 """Tests for the fleet metrics registry."""
 
-import threading
-
 from repro.fleet.metrics import Counter, Histogram, MetricsRegistry
 
 
@@ -12,20 +10,6 @@ class TestCounter:
         counter.inc()
         counter.inc(4)
         assert counter.value == 5
-
-    def test_thread_safe_increments(self):
-        counter = Counter("c")
-
-        def worker():
-            for _ in range(1000):
-                counter.inc()
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter.value == 8000
 
 
 class TestHistogram:

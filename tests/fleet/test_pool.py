@@ -1,15 +1,10 @@
-"""Warm-pool registry and adaptive shard sizing."""
+"""Warm-pool registry."""
 
 import pytest
 
 from repro.errors import FleetError
 from repro.fleet.pool import (
     _CRASH_ENV,
-    CostModel,
-    MAX_SHARD_DEVICES,
-    MIN_SHARD_DEVICES,
-    SHARDS_PER_WORKER,
-    adaptive_shard_size,
     discard_warm_pool,
     get_warm_pool,
     pool_stats,
@@ -58,70 +53,3 @@ class TestWarmPool:
         monkeypatch.delenv(_CRASH_ENV)
         third = get_warm_pool(2)
         assert third is not second
-
-
-class TestAdaptiveShardSize:
-    @pytest.fixture(autouse=True)
-    def _fresh_cost_model(self, monkeypatch):
-        # The module-level cost model is fed by every execute_run in
-        # the suite; pin a blank one so "no measurement yet" holds.
-        import repro.fleet.pool as pool
-
-        monkeypatch.setattr(pool, "_COST_MODEL", CostModel())
-
-    def test_empty_fleet_rejected(self):
-        with pytest.raises(FleetError, match="empty fleet"):
-            adaptive_shard_size(0, 2)
-
-    def test_bad_workers_rejected(self):
-        with pytest.raises(FleetError, match="workers"):
-            adaptive_shard_size(8, 0)
-
-    def test_small_fleet_clamps_to_fleet(self):
-        assert adaptive_shard_size(3, 2, per_device_s=10.0) == 3
-
-    def test_minimum_shard(self):
-        # Cheap devices, tiny fleet: the floor wins over balance.
-        assert adaptive_shard_size(64, 4) == MIN_SHARD_DEVICES
-
-    def test_balance_pressure(self):
-        # No cost measurement: about SHARDS_PER_WORKER shards/worker.
-        devices, workers = 1024, 4
-        size = adaptive_shard_size(devices, workers, per_device_s=None)
-        assert size == devices // (workers * SHARDS_PER_WORKER)
-
-    def test_amortization_pressure(self):
-        # 1 ms devices: shards grow so each carries >= the dispatch
-        # budget worth of work, overriding balance.
-        size = adaptive_shard_size(10_000, 4, per_device_s=0.001)
-        assert size >= 250
-        assert size <= MAX_SHARD_DEVICES
-
-    def test_maximum_clamp(self):
-        # Microsecond devices would want giant shards; the cap holds
-        # requeue granularity.
-        assert (
-            adaptive_shard_size(100_000, 2, per_device_s=1e-6)
-            == MAX_SHARD_DEVICES
-        )
-
-
-class TestCostModel:
-    def test_first_observation_sets(self):
-        model = CostModel()
-        model.observe(10, 2.0)
-        assert model.per_device_s == pytest.approx(0.2)
-        assert model.observations == 1
-
-    def test_ewma_moves_toward_new_sample(self):
-        model = CostModel(alpha=0.5)
-        model.observe(10, 2.0)   # 0.2 s/device
-        model.observe(10, 4.0)   # 0.4 s/device
-        assert model.per_device_s == pytest.approx(0.3)
-
-    def test_degenerate_samples_ignored(self):
-        model = CostModel()
-        model.observe(0, 1.0)
-        model.observe(10, 0.0)
-        assert model.per_device_s is None
-        assert model.observations == 0

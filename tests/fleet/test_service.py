@@ -6,7 +6,9 @@ import pytest
 
 from repro.errors import FleetError
 from repro.fleet import FleetConfig, device_key, format_report, run_fleet
-from repro.fleet.service import SCHEMA, build_fleet
+from repro.fleet.parallel import hydrate_devices
+from repro.fleet.service import SCHEMA, prepare_run
+from repro.machine.snapcodec import decode_snapshot
 
 
 class TestConfig:
@@ -29,10 +31,15 @@ class TestConfig:
 
 class TestBuildFleet:
     def test_clones_share_golden_state(self):
-        config = FleetConfig(devices=3, compromise=0)
-        devices, snapshot, image = build_fleet(config)
+        prepared = prepare_run(FleetConfig(devices=3, compromise=0))
+        devices = hydrate_devices(
+            prepared.snapshot_blob, prepared.image_name, dict(prepared.keys)
+        )
+        snapshot = decode_snapshot(prepared.snapshot_blob)
         assert set(devices) == {0, 1, 2}
-        assert snapshot.memory_bytes > 0
+        assert prepared.memory_bytes > 0
+        assert "ATTEST" in prepared.modules
+        image = devices[0].platform.image
         assert "ATTEST" in image.module_order
         for device in devices.values():
             assert device.platform.image is image

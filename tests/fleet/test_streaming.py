@@ -131,8 +131,8 @@ class TestStreamingDelivery:
 
 
 class TestExecutionPathIdentity:
-    """Blob shipping, pool reuse and shard sizing are invisible in the
-    report payload."""
+    """Merge strategy and shard sizing are invisible in the report
+    payload."""
 
     CONFIG = FleetConfig(devices=4, seed=5, compromise=1)
 
@@ -156,34 +156,23 @@ class TestExecutionPathIdentity:
         report = execute_run(prepared, ExecutionPlan(workers=1))
         assert report["ok"] is True
 
-    def test_shm_and_repickle_blobs_agree(self, prepared):
-        shm = execute_run(
-            prepared, ExecutionPlan(workers=2, shard_size=2)
-        )
-        repickle = execute_run(
-            prepared,
-            ExecutionPlan(workers=2, shard_size=2, share_blob=False),
-        )
-        assert shm["execution"]["shared_blob"] is True
-        assert repickle["execution"]["shared_blob"] is False
-        assert self._canonical(shm) == self._canonical(repickle)
-
-    def test_adaptive_shards_agree_with_pinned(self, prepared):
-        pinned = execute_run(
+    def test_pinned_shard_sizes_agree_and_fill_stage_timings(
+        self, prepared
+    ):
+        small = execute_run(
             prepared, ExecutionPlan(workers=1, shard_size=2)
         )
         stages: dict = {}
-        adaptive = execute_run(
+        large = execute_run(
             prepared,
-            ExecutionPlan(workers=1, shard_size=None),
+            ExecutionPlan(workers=1, shard_size=4),
             stage_timings=stages,
         )
-        execution = adaptive["execution"]
-        assert isinstance(execution["shard_size"], int)
-        assert execution["shard_size"] >= 1
-        assert self._canonical(adaptive) == self._canonical(pinned)
+        assert small["execution"]["shards"] == 2
+        assert large["execution"]["shards"] == 1
+        assert self._canonical(small) == self._canonical(large)
         # The stage sink is populated and stays out of the report.
         for key in ("ship_s", "hydrate_s", "shard_execute_s",
                     "merge_s", "execute_wall_s", "pool_spinup_s"):
             assert key in stages
-        assert "stage_timings" not in adaptive
+        assert "stage_timings" not in large

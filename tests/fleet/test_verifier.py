@@ -1,5 +1,7 @@
 """Tests for the fleet verifier's rounds, retries and verdicts."""
 
+import threading
+
 import pytest
 
 from repro.core.attestation import expected_measurements
@@ -36,6 +38,18 @@ class FlakyDevice(FleetDevice):
         if self._misses > 0:
             self._misses -= 1
             return None
+        return super().handle_challenge(message)
+
+
+class RecordingDevice(FleetDevice):
+    """Logs ``(device_id, thread id)`` for every challenge it answers."""
+
+    def __init__(self, *args, log, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._log = log
+
+    def handle_challenge(self, message):
+        self._log.append((self.device_id, threading.get_ident()))
         return super().handle_challenge(message)
 
 
@@ -142,14 +156,29 @@ class TestRounds:
         assert devices[0].last_seq == 2
         assert devices[0].replays_rejected == 0
 
-    def test_worker_pool_handles_many_devices(self, golden):
+    def test_round_handles_many_devices(self, golden):
         snapshot, _image = golden
         devices = {
             i: FleetDevice(i, snapshot.clone(), KEY) for i in range(6)
         }
-        verifier, _metrics = make_verifier(golden, devices, workers=3)
+        verifier, _metrics = make_verifier(golden, devices)
+        verdicts = verifier.run_round()
+        assert sorted(verdicts) == list(range(6))
+        assert all(v.status == HEALTHY for v in verdicts.values())
+
+    def test_devices_answer_on_calling_thread_in_id_order(self, golden):
+        snapshot, _image = golden
+        answered = []
+        ids = (5, 2, 9, 0, 7)
+        devices = {
+            i: RecordingDevice(i, snapshot.clone(), KEY, log=answered)
+            for i in ids
+        }
+        verifier, _metrics = make_verifier(golden, devices)
         verdicts = verifier.run_round()
         assert all(v.status == HEALTHY for v in verdicts.values())
+        caller = threading.get_ident()
+        assert answered == [(i, caller) for i in sorted(ids)]
 
 
 class TestValidation:
