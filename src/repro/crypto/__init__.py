@@ -7,14 +7,16 @@ margin (Sec. 5.2), and the trusted-IPC protocol derives a session token
 from-scratch sponge-construction hash with Spongent-like parameters
 (small state, 128-bit digest), a keyed MAC built on it, and nonce /
 session-token utilities.  It backs both the host-side protocol model
-and the MMIO crypto accelerator device.
+and the MMIO crypto accelerator device.  Every hash goes through
+:func:`sponge_hash`, which memoises digests by exact input bytes
+(:func:`memo_stats` reports the memo's counters).
 
 These primitives are simulation stand-ins: they are deterministic,
 collision-resistant enough for protocol testing, and are NOT intended
 for production cryptographic use.
 """
 
-from repro.crypto.sponge import DIGEST_SIZE, SpongeHash, sponge_hash
+from repro.crypto.sponge import DIGEST_SIZE, SpongeHash, memo_stats, sponge_hash
 from repro.crypto.mac import constant_time_equal, mac
 from repro.crypto.tokens import NonceSource, session_token
 
@@ -24,6 +26,7 @@ __all__ = [
     "SpongeHash",
     "constant_time_equal",
     "mac",
+    "memo_stats",
     "session_token",
     "sponge_hash",
 ]

@@ -8,16 +8,17 @@ attestation routine and the remote-attestation trustlet model.
 
 from __future__ import annotations
 
-from repro.crypto.sponge import SpongeHash
+from repro.crypto.sponge import sponge_hash
 
 
 def mac(key: bytes, message: bytes) -> bytes:
-    """128-bit authentication tag over ``message`` under ``key``."""
-    hasher = SpongeHash()
-    hasher.update(len(key).to_bytes(4, "little"))
-    hasher.update(key)
-    hasher.update(message)
-    return hasher.digest()
+    """128-bit authentication tag over ``message`` under ``key``.
+
+    One :func:`sponge_hash` of the concatenation: the sponge streams,
+    so this equals absorbing the three parts one after another, and it
+    shares the hash memo with every other caller.
+    """
+    return sponge_hash(len(key).to_bytes(4, "little") + key + message)
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

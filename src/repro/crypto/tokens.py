@@ -13,6 +13,9 @@ from repro.crypto.sponge import sponge_hash
 
 NONCE_SIZE = 8
 
+#: Longest field a two-byte length prefix can describe.
+_MAX_FIELD = 0xFFFF
+
 
 class NonceSource:
     """Deterministic nonce generator, unique per (seed, counter).
@@ -45,10 +48,21 @@ def session_token(
     """Derive ``tk_{A,B} = hash(A, B, NA, NB)`` for a trusted channel.
 
     Fields are length-prefixed before hashing so that distinct
-    (identifier, nonce) tuples can never collide by concatenation.
+    (identifier, nonce) tuples can never collide by concatenation.  The
+    prefix is two bytes, so a field of 64 KiB or more is a
+    ``ValueError`` naming that field.
     """
     material = bytearray()
-    for field in (initiator, responder, nonce_a, nonce_b):
+    fields = {
+        "initiator": initiator, "responder": responder,
+        "nonce_a": nonce_a, "nonce_b": nonce_b,
+    }
+    for name, field in fields.items():
+        if len(field) > _MAX_FIELD:
+            raise ValueError(
+                f"session_token {name} is {len(field)} bytes; "
+                f"the limit is {_MAX_FIELD}"
+            )
         material += len(field).to_bytes(2, "little")
         material += field
     return sponge_hash(bytes(material))

@@ -22,7 +22,7 @@ Register map::
 from __future__ import annotations
 
 from repro.crypto.mac import mac
-from repro.crypto.sponge import DIGEST_SIZE, SpongeHash
+from repro.crypto.sponge import DIGEST_SIZE, sponge_hash
 from repro.errors import BusError
 from repro.machine.device import Device
 
@@ -94,7 +94,7 @@ class CryptoEngine(Device):
             self._absorbed.clear()
             self._digest = None
         elif value == CTRL_FINALIZE:
-            self._digest = SpongeHash().update(bytes(self._absorbed)).digest()
+            self._digest = sponge_hash(bytes(self._absorbed))
         elif value == CTRL_FINALIZE_MAC:
             self._digest = mac(bytes(self._key), bytes(self._absorbed))
         else:

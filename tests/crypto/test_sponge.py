@@ -112,3 +112,11 @@ class TestTokens:
     def test_session_token_is_directional(self):
         assert session_token(b"A", b"B", b"n", b"m") != \
             session_token(b"B", b"A", b"n", b"m")
+
+    def test_session_token_rejects_a_field_too_long_for_its_prefix(self):
+        longest = bytes(0xFFFF)
+        assert len(session_token(longest, b"B", b"n", b"m")) == DIGEST_SIZE
+        with pytest.raises(ValueError, match="nonce_b"):
+            session_token(b"A", b"B", b"n", bytes(0x10000))
+        with pytest.raises(ValueError, match="initiator"):
+            session_token(bytes(0x10000), b"B", b"n", b"m")
