@@ -8,9 +8,9 @@ architectural outcome.  This benchmark pins the speed half of that
 claim — the correctness half is pinned by
 ``tests/integration/test_lockstep.py``.
 
-Four workloads, each run on three engine tiers (``reference`` =
-``fastpath=False``, ``fast`` = ``fastpath=True``, ``trace`` =
-``fastpath=True, trace=True``):
+Four workloads, each run on three engine tiers (the ``engine``
+keyword of :class:`~repro.core.platform.TrustLitePlatform`:
+``reference``, ``fast`` and ``trace``):
 
 * ``busy-loop``          — a register-only spin under a compute-sized
   scheduling quantum; the trace engine's best case and the dominant
@@ -64,11 +64,8 @@ MEMCPY_WORDS = 64
 #: path, short enough that preemption still happens ~200 times per run.
 BUSY_QUANTUM = 2000
 
-ENGINES = {
-    "reference": {"fastpath": False},
-    "fast": {"fastpath": True},
-    "trace": {"fastpath": True, "trace": True},
-}
+#: The reference engine runs first: it is every workload's baseline.
+ENGINES = ("reference", "fast", "trace")
 
 
 def _busy_source(lay):
@@ -146,13 +143,13 @@ def _engine_stats(platform) -> dict:
     return stats
 
 
-def _throughput(build_image, engine: dict) -> tuple[float, int, dict]:
+def _throughput(build_image, engine: str) -> tuple[float, int, dict]:
     """Best-of-N retired instr/host-second, count, and cache stats."""
     best = 0.0
     retired = 0
     stats: dict = {}
     for _ in range(REPEATS):
-        platform = TrustLitePlatform(**engine)
+        platform = TrustLitePlatform(engine=engine)
         platform.boot(build_image())
         base = platform.cpu.instructions_retired
         started = time.perf_counter()
@@ -172,9 +169,9 @@ def test_host_throughput():
         rows = {}
         stats = {}
         baseline_retired = None
-        for engine_name, engine in ENGINES.items():
+        for engine_name in ENGINES:
             ips, engine_retired, engine_stats = _throughput(
-                build_image, engine
+                build_image, engine_name
             )
             assert engine_retired > 0, f"{name}: workload retired nothing"
             if baseline_retired is None:

@@ -27,7 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
+from repro.errors import ReproError
 from repro.machine.access import AccessType
 
 EXIT_OK = 0
@@ -169,8 +171,35 @@ def _cmd_lint(args) -> int:
     return EXIT_OK if report.ok else EXIT_FINDINGS
 
 
-def _cmd_fleet(args) -> int:
-    from repro.errors import FleetError
+def _report_command(setup):
+    """The one driver of ``fleet``, ``serve``, ``faults`` and ``ota``.
+
+    ``setup(args)`` maps the flags to config objects and returns
+    ``(run, format_text)``.  A bad ``--workers`` or any
+    :class:`~repro.errors.ReproError` raised while building the config
+    is a usage error: ``<cmd>: <message>`` on stderr, exit 2.
+    Otherwise ``run()`` produces the report, printed as JSON or text,
+    and ``report["ok"]`` picks exit 0 or 1.
+    """
+
+    def command(args) -> int:
+        try:
+            if args.workers < 1:
+                raise ReproError(f"workers must be >= 1: {args.workers}")
+            run, format_text = setup(args)
+        except ReproError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        report = run()
+        print(json.dumps(report, indent=2) if args.json
+              else format_text(report))
+        return EXIT_OK if report["ok"] else EXIT_FINDINGS
+
+    return command
+
+
+@_report_command
+def _cmd_fleet(args):
     from repro.fleet import (
         ExecutionPlan,
         FleetConfig,
@@ -178,142 +207,110 @@ def _cmd_fleet(args) -> int:
         run_fleet,
     )
 
-    try:
-        plan = ExecutionPlan(
-            workers=args.workers,
-            shard_size=args.shard_size,
-            engine=args.engine,
-        )
-        config = FleetConfig(
-            devices=args.devices,
-            rounds=args.rounds,
-            seed=args.seed,
-            compromise=args.compromise,
-            drop_rate=args.drop_rate,
-            delay_min=args.delay_min,
-            delay_max=args.delay_max,
-            timeout_cycles=args.timeout_cycles,
-            max_retries=args.retries,
-            backoff=args.backoff,
-            step_cycles=args.step_cycles,
-        )
-    except FleetError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_fleet(config, plan)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_report(report))
-    return EXIT_OK if report["ok"] else EXIT_FINDINGS
-
-
-def _cmd_serve(args) -> int:
-    from repro.errors import FleetError
-    from repro.fleet import (
-        ServiceConfig,
-        format_serve_report,
-        run_service,
+    plan = ExecutionPlan(
+        workers=args.workers,
+        shard_size=args.shard_size,
+        engine=args.engine,
     )
-
-    try:
-        if args.workers < 1:
-            raise FleetError(f"workers must be >= 1: {args.workers}")
-        # `--burst 4` alone is enough: default windows derive from the
-        # duration (still a pure function of the arguments).
-        burst_every = args.burst_every
-        burst_length = args.burst_length
-        if args.burst > 1.0 and not burst_every:
-            burst_every = max(1, args.duration // 4)
-            burst_length = burst_length or max(1, args.duration // 8)
-        config = ServiceConfig(
-            devices=args.devices,
-            seed=args.seed,
-            compromise=args.compromise,
-            duration_cycles=args.duration,
-            rate_per_kcycle=args.rate,
-            burst_every=burst_every,
-            burst_length=burst_length,
-            burst_multiplier=args.burst,
-            storm_up_mean=args.storm_up,
-            storm_down_mean=args.storm_down,
-            drop_rate=args.drop_rate,
-            delay_min=args.delay_min,
-            delay_max=args.delay_max,
-            timeout_cycles=args.timeout_cycles,
-            tick_cycles=args.tick_cycles,
-            queue_capacity=args.queue,
-            batch_max=args.batch_max,
-            pipeline_depth=args.pipeline,
-        )
-    except FleetError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_service(config, workers=args.workers, engine=args.engine)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_serve_report(report))
-    return EXIT_OK if report["ok"] else EXIT_FINDINGS
+    config = FleetConfig(
+        devices=args.devices,
+        rounds=args.rounds,
+        seed=args.seed,
+        compromise=args.compromise,
+        drop_rate=args.drop_rate,
+        delay_min=args.delay_min,
+        delay_max=args.delay_max,
+        timeout_cycles=args.timeout_cycles,
+        max_retries=args.retries,
+        backoff=args.backoff,
+        step_cycles=args.step_cycles,
+    )
+    return partial(run_fleet, config, plan), format_report
 
 
-def _cmd_faults(args) -> int:
-    from repro.errors import FaultError, FleetError
+@_report_command
+def _cmd_serve(args):
+    from repro.fleet import ServiceConfig, format_serve_report, run_service
+
+    # `--burst 4` alone is enough: default windows derive from the
+    # duration (still a pure function of the arguments).
+    burst_every = args.burst_every
+    burst_length = args.burst_length
+    if args.burst > 1.0 and not burst_every:
+        burst_every = max(1, args.duration // 4)
+        burst_length = burst_length or max(1, args.duration // 8)
+    config = ServiceConfig(
+        devices=args.devices,
+        seed=args.seed,
+        compromise=args.compromise,
+        duration_cycles=args.duration,
+        rate_per_kcycle=args.rate,
+        burst_every=burst_every,
+        burst_length=burst_length,
+        burst_multiplier=args.burst,
+        storm_up_mean=args.storm_up,
+        storm_down_mean=args.storm_down,
+        drop_rate=args.drop_rate,
+        delay_min=args.delay_min,
+        delay_max=args.delay_max,
+        timeout_cycles=args.timeout_cycles,
+        tick_cycles=args.tick_cycles,
+        queue_capacity=args.queue,
+        batch_max=args.batch_max,
+        pipeline_depth=args.pipeline,
+    )
+    run = partial(
+        run_service, config, workers=args.workers, engine=args.engine
+    )
+    return run, format_serve_report
+
+
+@_report_command
+def _cmd_faults(args):
     from repro.faults import CampaignConfig, format_campaign, run_campaign
 
-    try:
-        if args.workers < 1:
-            raise FaultError(f"workers must be >= 1: {args.workers}")
-        config = CampaignConfig(
-            seed=args.seed,
-            rounds=args.rounds,
-            timeout_cycles=args.timeout_cycles,
-            max_retries=args.retries,
-            backoff=args.backoff,
-            step_cycles=args.step_cycles,
-        )
-    except (FaultError, FleetError) as exc:
-        print(f"faults: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_campaign(config, workers=args.workers)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_campaign(report))
-    return EXIT_OK if report["ok"] else EXIT_FINDINGS
+    config = CampaignConfig(
+        seed=args.seed,
+        rounds=args.rounds,
+        timeout_cycles=args.timeout_cycles,
+        max_retries=args.retries,
+        backoff=args.backoff,
+        step_cycles=args.step_cycles,
+    )
+    return partial(run_campaign, config, workers=args.workers), format_campaign
 
 
-def _cmd_ota(args) -> int:
-    from repro.errors import FleetError
+@_report_command
+def _cmd_ota(args):
     from repro.ota import OtaConfig, format_ota_report, run_campaign
 
-    try:
-        if args.workers < 1:
-            raise FleetError(f"workers must be >= 1: {args.workers}")
-        config = OtaConfig(
-            devices=args.devices,
-            seed=args.seed,
-            canary=args.canary,
-            cohort=args.cohort,
-            chunk_size=args.chunk_size,
-            drop_rate=args.drop_rate,
-            delay_min=args.delay_min,
-            delay_max=args.delay_max,
-            timeout_cycles=args.timeout_cycles,
-            max_attempts=args.attempts,
-            backoff_cycles=args.backoff_cycles,
-            fail=args.fail,
-            corrupt_chunk=args.corrupt_chunk,
-        )
-    except FleetError as exc:
-        print(f"ota: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_campaign(config, workers=args.workers)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_ota_report(report))
-    return EXIT_OK if report["ok"] else EXIT_FINDINGS
+    config = OtaConfig(
+        devices=args.devices,
+        seed=args.seed,
+        canary=args.canary,
+        cohort=args.cohort,
+        chunk_size=args.chunk_size,
+        drop_rate=args.drop_rate,
+        delay_min=args.delay_min,
+        delay_max=args.delay_max,
+        timeout_cycles=args.timeout_cycles,
+        max_attempts=args.attempts,
+        backoff_cycles=args.backoff_cycles,
+        fail=args.fail,
+        corrupt_chunk=args.corrupt_chunk,
+    )
+    run = partial(run_campaign, config, workers=args.workers)
+    return run, format_ota_report
+
+
+def _add_link_flags(parser, *, delay_max: int) -> None:
+    """The lossy-link flags of fleet, serve and ota (a FaultModel)."""
+    parser.add_argument("--drop-rate", type=float, default=0.0,
+                        help="per-link message loss probability")
+    parser.add_argument("--delay-min", type=int, default=0,
+                        help="minimum link delay in cycles")
+    parser.add_argument("--delay-max", type=int, default=delay_max,
+                        help="maximum link delay in cycles")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,12 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for nonces, faults and compromise choice")
     fleet.add_argument("--compromise", type=int, default=1,
                        help="devices to tamper post-boot (default: 1)")
-    fleet.add_argument("--drop-rate", type=float, default=0.0,
-                       help="per-link message loss probability")
-    fleet.add_argument("--delay-min", type=int, default=0,
-                       help="minimum link delay in cycles")
-    fleet.add_argument("--delay-max", type=int, default=512,
-                       help="maximum link delay in cycles")
+    _add_link_flags(fleet, delay_max=512)
     fleet.add_argument("--timeout-cycles", type=int, default=8192,
                        help="per-attempt response timeout in cycles")
     fleet.add_argument("--retries", type=int, default=2,
@@ -436,12 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = no storm)")
     serve.add_argument("--storm-down", type=int, default=0,
                        help="flap storm: mean cycles down per outage")
-    serve.add_argument("--drop-rate", type=float, default=0.0,
-                       help="per-link message loss probability")
-    serve.add_argument("--delay-min", type=int, default=0,
-                       help="minimum link delay in cycles")
-    serve.add_argument("--delay-max", type=int, default=256,
-                       help="maximum link delay in cycles")
+    _add_link_flags(serve, delay_max=256)
     serve.add_argument("--timeout-cycles", type=int, default=8192,
                        help="challenge expiry in cycles (no retries in "
                             "open-loop mode; losses are measured)")
@@ -507,12 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "of the remainder)")
     ota.add_argument("--chunk-size", type=int, default=1024,
                      help="container transfer chunk bytes (default: 1024)")
-    ota.add_argument("--drop-rate", type=float, default=0.0,
-                     help="per-link message loss probability")
-    ota.add_argument("--delay-min", type=int, default=0,
-                     help="minimum link delay in cycles")
-    ota.add_argument("--delay-max", type=int, default=256,
-                     help="maximum link delay in cycles")
+    _add_link_flags(ota, delay_max=256)
     ota.add_argument("--timeout-cycles", type=int, default=8192,
                      help="per-chunk ack timeout in cycles")
     ota.add_argument("--attempts", type=int, default=3,

@@ -63,18 +63,15 @@ class TrustLitePlatform:
         flash_prom: bool = False,
         with_dma: bool = False,
         checked_dma: bool = True,
-        fastpath: bool = True,
-        trace: bool = False,
+        engine: str = "fast",
     ) -> None:
-        # ``fastpath=False`` selects the uncached reference engine and
-        # ``trace=True`` the recording trace tier; neither is part of
-        # the snapshot-compatibility config — all engines are
+        # ``engine`` (see :data:`repro.machine.cpu.ENGINES`) is not
+        # part of the snapshot-compatibility config — all engines are
         # architecturally identical.
         self.soc = SoC(
             flash_prom=flash_prom,
             with_dma=with_dma,
-            fastpath=fastpath,
-            trace=trace,
+            engine=engine,
         )
         self.mpu = EaMpu(num_regions=num_mpu_regions)
         self.mpu_frontend = MpuMmioFrontend(self.mpu)

@@ -37,7 +37,13 @@ from repro.core.trustlet_table import (
     ROW_SIZE,
     name_tag,
 )
-from repro.errors import FaultError, ReproError, SnapcodecError
+from repro.errors import (
+    ContainerError,
+    FaultError,
+    ReproError,
+    RollbackError,
+    SnapcodecError,
+)
 from repro.faults.injectors import (
     corrupt_blob,
     flip_memory_bits,
@@ -60,6 +66,12 @@ from repro.fleet.verifier import COMPROMISED, HEALTHY, FleetVerifier
 from repro.machine.snapcodec import decode_snapshot, encode_snapshot
 from repro.machine.snapshot import Snapshot
 from repro.machine.soc import SRAM_BASE
+from repro.ota.campaign import (
+    UPDATED,
+    DeviceUpdateTask,
+    build_release,
+    run_device_update,
+)
 from repro.sw.images import build_attestation_image
 
 SCHEMA = "repro.faults/1"
@@ -411,27 +423,6 @@ def _scenario_transport_flap(task, rng):
     return detail, violations
 
 
-def _ota_artifacts(seed: int):
-    """Signed v1/v2 container streams plus the trust root for ``seed``."""
-    from repro.ota.campaign import V2_TIMER_PERIOD, trust_root_key
-    from repro.ota.container import build_container, encode_container
-
-    root = trust_root_key(seed)
-    v1 = encode_container(
-        build_container(
-            build_attestation_image(),
-            image_name="attestation", fw_version=1, signing_key=root,
-        )
-    )
-    v2 = encode_container(
-        build_container(
-            build_attestation_image(timer_period=V2_TIMER_PERIOD),
-            image_name="attestation", fw_version=2, signing_key=root,
-        )
-    )
-    return v1, v2, root
-
-
 def _scenario_ota_chunk_corrupt(task, rng):
     """A firmware chunk is corrupted in flight mid-transfer.
 
@@ -441,24 +432,18 @@ def _scenario_ota_chunk_corrupt(task, rng):
     must still land verified on the new version — corruption costs
     retries, never silent acceptance.
     """
-    from repro.ota.campaign import (
-        UPDATED,
-        DeviceUpdateTask,
-        run_device_update,
-    )
-
-    v1, v2, root = _ota_artifacts(task.seed)
+    release = build_release(task.seed, build_attestation_image())
     chunk_size = 256
-    chunks = (len(v2) + chunk_size - 1) // chunk_size
+    chunks = (len(release.v2_bytes) + chunk_size - 1) // chunk_size
     corrupt = rng.randrange(chunks)
     result = run_device_update(
         DeviceUpdateTask(
             device_id=0,
             seed=task.seed,
             snapshot_blob=task.snapshot_blob,
-            container_v1=v1,
-            container_v2=v2,
-            trust_root=root,
+            container_v1=release.v1_bytes,
+            container_v2=release.v2_bytes,
+            trust_root=release.trust_root,
             key=device_key(task.seed, 0),
             chunk_size=chunk_size,
             drop_rate=0.0,
@@ -500,12 +485,9 @@ def _scenario_ota_rollback_replay(task, rng):
     bit-flipped container stream must be refused with a typed
     ``ContainerError`` — in both cases nothing may boot silently.
     """
-    from repro.errors import ContainerError, RollbackError
-    from repro.fleet.parallel import _cached_snapshot
-
-    v1, v2, root = _ota_artifacts(task.seed)
-    platform = _cached_snapshot(task.snapshot_blob).clone()
-    platform.soc.crypto.set_key(device_key(task.seed, 0))
+    release = build_release(task.seed, build_attestation_image())
+    v1, v2, root = release.v1_bytes, release.v2_bytes, release.trust_root
+    platform = _hydrate(task, 0).platform
     platform.boot_signed(v1, trust_root=root)
     platform.commit_firmware()
     platform.boot_signed(v2, trust_root=root)

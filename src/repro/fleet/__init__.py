@@ -46,7 +46,6 @@ from repro.fleet.parallel import (
     ENGINE_TRACE,
     ENGINES,
     ExecutionPlan,
-    engine_kwargs,
     QuoteCheckBatch,
     ShardMerger,
     ShardTask,
@@ -128,7 +127,6 @@ __all__ = [
     "build_schedule",
     "device_key",
     "discard_warm_pool",
-    "engine_kwargs",
     "execute_run",
     "flap_windows",
     "format_report",

@@ -142,6 +142,52 @@ class RecoveryLog:
         return counters
 
 
+def format_execution(execution: dict | None) -> list[str]:
+    """Text lines of a report's ``execution`` section.
+
+    The one renderer behind the fleet, serve and OTA text reports: the
+    worker count, the shard layout when the report has shards, and the
+    engine when it has one.  Then the :class:`RecoveryLog` counts: an
+    undisturbed run says so ("recovery: none"), a disturbed one
+    itemizes crashes, hangs, retries, rebuilds, the deterministic
+    backoff charge, and whether the pool degraded to in-process
+    execution.
+    """
+    if not execution:
+        return []
+    parts = [f"{execution['workers']} worker(s)"]
+    if "shards" in execution:
+        parts.append(
+            f"{execution['shards']} shard(s) of <= "
+            f"{execution['shard_size']}"
+        )
+    if execution.get("engine"):
+        parts.append(f"{execution['engine']} engine")
+    lines = ["execution: " + ", ".join(parts)]
+    recovery = execution.get("recovery")
+    if not recovery:
+        return lines
+    if not recovery.get("recoveries"):
+        return lines + ["recovery: none"]
+    lines.append(
+        f"recovery: {recovery['recoveries']} event(s) — "
+        f"{recovery[WORKER_CRASH]} worker crash(es), "
+        f"{recovery[TASK_TIMEOUT]} timeout(s), "
+        f"{recovery[TASK_RETRY]} retry(ies), "
+        f"{recovery[POOL_REBUILD]} pool rebuild(s)"
+    )
+    if recovery.get("backoff_cycles"):
+        lines.append(
+            f"recovery backoff: {recovery['backoff_cycles']} "
+            f"simulated cycle(s)"
+        )
+    if recovery.get(DEGRADED):
+        lines.append(
+            "recovery degraded: pool abandoned, survivors ran in-process"
+        )
+    return lines
+
+
 def _run_inline(fn, task, task_id, attempts, policy, log):
     """Execute ``fn(task)`` in-process with bounded retries."""
     while True:

@@ -42,25 +42,11 @@ from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.pool import _CRASH_ENV  # noqa: F401  (re-export)
 from repro.fleet.transport import FaultModel, InProcessTransport
 from repro.fleet.verifier import FleetVerifier
+from repro.machine.cpu import ENGINES
 from repro.machine.snapcodec import decode_snapshot
 from repro.machine.trace import Tracer
 
-ENGINE_FAST = "fast"
-ENGINE_REFERENCE = "reference"
-ENGINE_TRACE = "trace"
-ENGINES = (ENGINE_FAST, ENGINE_REFERENCE, ENGINE_TRACE)
-
-
-def engine_kwargs(engine: str) -> dict:
-    """Platform/clone constructor kwargs for a named execution engine."""
-    if engine not in ENGINES:
-        raise FleetError(
-            f"unknown engine {engine!r}; choose from {ENGINES}"
-        )
-    return {
-        "fastpath": engine != ENGINE_REFERENCE,
-        "trace": engine == ENGINE_TRACE,
-    }
+ENGINE_FAST, ENGINE_REFERENCE, ENGINE_TRACE = ENGINES
 
 DEFAULT_SHARD_SIZE = 16
 
@@ -185,19 +171,18 @@ def hydrate_devices(
 ) -> dict[int, FleetDevice]:
     """Clone one :class:`FleetDevice` per ``keys`` entry from the blob.
 
-    The one hydration path of the batch fleet, the service and the
-    fault campaign: decode the golden snapshot (cached per process),
-    clone it on ``engine``, re-attach the image (a decoded snapshot
-    carries no host handles, and tampering needs the image's layouts),
-    load the device key, add a ring-buffer tracer when
-    ``trace_capacity`` is set, then tamper the ``compromised`` ids.
+    The one hydration path of the batch fleet, the service, the fault
+    campaign and the OTA campaign: decode the golden snapshot (cached
+    per process), clone it on ``engine``, re-attach the image (a
+    decoded snapshot carries no host handles, and tampering needs the
+    image's layouts), load the device key, add a ring-buffer tracer
+    when ``trace_capacity`` is set, then tamper the ``compromised`` ids.
     """
     snapshot = _cached_snapshot(snapshot_blob)
     image = _cached_image(image_name)
-    clone_kwargs = engine_kwargs(engine)
     devices: dict[int, FleetDevice] = {}
     for device_id, key in keys.items():
-        platform = snapshot.clone(**clone_kwargs)
+        platform = snapshot.clone(engine=engine)
         platform.image = image
         platform.soc.crypto.set_key(key)
         tracer = Tracer(capacity=trace_capacity) if trace_capacity else None

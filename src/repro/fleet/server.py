@@ -54,6 +54,7 @@ from repro.fleet.executor import (
     RecoveryLog,
     TASK_RETRY,
     WORKER_CRASH,
+    format_execution,
 )
 from repro.fleet.loadgen import (
     Arrival,
@@ -64,8 +65,8 @@ from repro.fleet.loadgen import (
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.parallel import (
     ENGINE_FAST,
+    ExecutionPlan,
     QuoteCheckBatch,
-    engine_kwargs,
     hydrate_devices,
     verify_quote_batch,
 )
@@ -150,8 +151,14 @@ class ServiceConfig:
                 f"snapshot_every_cycles must be >= 1: "
                 f"{self.snapshot_every_cycles}"
             )
-        # Delegate the load-shape validation to LoadProfile.
+        # Delegate the load-shape and link validation to LoadProfile
+        # and FaultModel, so a bad value fails before the golden boot.
         self.profile()
+        FaultModel(
+            drop_rate=self.drop_rate,
+            delay_min=self.delay_min,
+            delay_max=self.delay_max,
+        )
 
     def profile(self) -> LoadProfile:
         return LoadProfile(
@@ -218,16 +225,13 @@ class AttestationService:
         engine: str = ENGINE_FAST,
         on_snapshot=None,
     ) -> None:
-        if workers < 1:
-            raise FleetError(f"workers must be >= 1: {workers}")
+        # The worker count and the engine are, as in the batch fleet,
+        # kept out of the frozen ServiceConfig: they may change how
+        # fast the report is produced, never what it says.  Validated
+        # up front so a typo fails before the golden boot.
+        ExecutionPlan(workers=workers, engine=engine)
         self.config = config
         self.workers = workers
-        # Execution-engine choice is, like the worker count, kept out
-        # of the frozen ServiceConfig: engines are architecturally
-        # identical, so it may change how fast the report is produced,
-        # never what it says.  Validated up front so a typo fails
-        # before the golden boot.
-        engine_kwargs(engine)
         self.engine = engine
         self.on_snapshot = on_snapshot
         self.metrics = MetricsRegistry()
@@ -677,8 +681,6 @@ def run_service(
 
 def format_serve_report(report: dict) -> str:
     """Human-readable rendering of a ``run_service`` report."""
-    from repro.fleet.service import _recovery_lines
-
     config = report["config"]
     load = report["load"]
     service = report["service"]
@@ -708,13 +710,6 @@ def format_serve_report(report: dict) -> str:
         f"flagged compromised: {flagged['compromised'] or 'none'} "
         f"(expected {report['expected_compromised'] or 'none'})"
     )
-    execution = report.get("execution")
-    if execution:
-        engine = execution.get("engine")
-        lines.append(
-            f"execution: {execution['workers']} worker(s)"
-            + (f", {engine} engine" if engine else "")
-        )
-        lines.extend(_recovery_lines(execution.get("recovery", {})))
+    lines.extend(format_execution(report.get("execution")))
     lines.append(f"verdict: {'OK' if report['ok'] else 'MISMATCH'}")
     return "\n".join(lines)

@@ -35,7 +35,7 @@ from repro.core.platform import TrustLitePlatform
 from repro.core.trustlet_table import name_tag
 from repro.crypto import mac, sponge_hash
 from repro.errors import FleetError
-from repro.fleet.executor import RecoveryLog, RetryPolicy
+from repro.fleet.executor import RecoveryLog, RetryPolicy, format_execution
 from repro.fleet.parallel import (
     ExecutionPlan,
     ShardMerger,
@@ -44,6 +44,7 @@ from repro.fleet.parallel import (
     shard_ids,
 )
 from repro.fleet.pool import pool_stats
+from repro.fleet.transport import FaultModel
 from repro.fleet.verifier import COMPROMISED, HEALTHY, UNRESPONSIVE
 from repro.machine.snapcodec import encode_snapshot
 from repro.machine.snapshot import Snapshot
@@ -105,6 +106,13 @@ class FleetConfig:
             raise FleetError(
                 f"trace_capacity must be >= 0: {self.trace_capacity}"
             )
+        # Check the link parameters here, before the golden boot, not
+        # inside the first shard.
+        FaultModel(
+            drop_rate=self.drop_rate,
+            delay_min=self.delay_min,
+            delay_max=self.delay_max,
+        )
 
 
 def device_key(seed: int, device_id: int) -> bytes:
@@ -371,38 +379,6 @@ def run_fleet(
     return execute_run(prepare_run(config), plan)
 
 
-def _recovery_lines(recovery: dict) -> list[str]:
-    """Render ``execution.recovery`` so fault-tolerant runs are legible.
-
-    Shared by the batch fleet and the serving front-end: an undisturbed
-    run says so explicitly ("recovery: none"), a disturbed one
-    itemizes what it took — crashes, hangs, retries, rebuilds, the
-    deterministic backoff charge — and whether the pool degraded to
-    in-process execution.
-    """
-    if not recovery:
-        return []
-    if not recovery.get("recoveries"):
-        return ["recovery: none"]
-    lines = [
-        f"recovery: {recovery['recoveries']} event(s) — "
-        f"{recovery['worker_crash']} worker crash(es), "
-        f"{recovery['task_timeout']} timeout(s), "
-        f"{recovery['task_retry']} retry(ies), "
-        f"{recovery['pool_rebuild']} pool rebuild(s)"
-    ]
-    if recovery.get("backoff_cycles"):
-        lines.append(
-            f"recovery backoff: {recovery['backoff_cycles']} "
-            f"simulated cycle(s)"
-        )
-    if recovery.get("degraded"):
-        lines.append(
-            "recovery degraded: pool abandoned, survivors ran in-process"
-        )
-    return lines
-
-
 def format_report(report: dict) -> str:
     """Human-readable rendering of a ``run_fleet`` report."""
     lines = []
@@ -411,14 +387,7 @@ def format_report(report: dict) -> str:
         f"fleet: {config['devices']} devices, {config['rounds']} "
         f"round(s), seed {config['seed']}"
     )
-    execution = report.get("execution")
-    if execution:
-        lines.append(
-            f"execution: {execution['workers']} worker(s), "
-            f"{execution['shards']} shard(s) of <= "
-            f"{execution['shard_size']}, {execution['engine']} engine"
-        )
-        lines.extend(_recovery_lines(execution.get("recovery", {})))
+    lines.extend(format_execution(report.get("execution")))
     lines.append(
         f"image: {', '.join(report['image']['modules'])} "
         f"({report['image']['prom_bytes']} PROM bytes)"

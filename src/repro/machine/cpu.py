@@ -42,6 +42,12 @@ from repro.machine.bus import Bus
 from repro.machine.fastpath import FastPath
 from repro.machine.irq import InterruptController
 
+#: Execution engines, all architecturally identical: ``reference`` is
+#: the uncached interpreter, ``fast`` adds the decode, MPU-lookaside
+#: and routing caches, and ``trace`` stacks the recording trace tier
+#: on top of ``fast``.
+ENGINES = ("fast", "reference", "trace")
+
 
 @dataclass
 class CpuFlags:
@@ -88,8 +94,7 @@ class Cpu:
         bus: Bus,
         irq: InterruptController | None = None,
         reset_vector: int = 0,
-        fastpath: bool = True,
-        trace: bool = False,
+        engine: str = "fast",
     ) -> None:
         self.bus = bus
         self.irq = irq if irq is not None else InterruptController()
@@ -103,14 +108,16 @@ class Cpu:
         # The address of the instruction currently executing; this is
         # the curr_IP subject the EA-MPU sees (paper Fig. 2).
         self.curr_ip = reset_vector
-        # ``fastpath=False`` is the reference engine: no decode cache,
-        # no MPU lookaside.  ``trace=True`` stacks the recording trace
-        # engine on top of the fast path.  Semantics are identical on
-        # all three tiers — the lockstep differential harness enforces
-        # that.
-        if trace and not fastpath:
-            raise MachineError("trace engine requires fastpath=True")
-        self.fastpath = FastPath(self, trace=trace) if fastpath else None
+        # Semantics are identical on all three engines — the lockstep
+        # differential harness enforces that.
+        if engine not in ENGINES:
+            raise MachineError(
+                f"unknown engine {engine!r}; choose from {ENGINES}"
+            )
+        self.fastpath = (
+            None if engine == "reference"
+            else FastPath(self, trace=engine == "trace")
+        )
         # Callable returning cycles until the next device event (set by
         # the SoC to ``bus.next_event_in``); bounds batched trace runs.
         self.event_horizon: Optional[Callable[[], int | None]] = None
@@ -283,7 +290,7 @@ class Cpu:
         whole recorded trace batch (many instructions, one return
         value), never exceeding it.  Without one (the default), the
         step retires exactly one instruction, so single-step callers
-        see unchanged semantics even on a ``trace=True`` core.
+        see unchanged semantics even on a trace-engine core.
         """
         if self.halted:
             return 0

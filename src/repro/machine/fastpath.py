@@ -28,7 +28,7 @@ simulation analogue, and it must be *semantically invisible*:
 * The bus routing cache (last-mapping memo + bisect + RAM
   short-circuit) lives in :class:`~repro.machine.bus.Bus` itself — it
   is a pure strength reduction with identical fault behaviour, so both
-  engines share it; the ``fastpath=False`` escape hatch on
+  engines share it; ``engine="reference"`` on
   :class:`~repro.machine.cpu.Cpu` / :class:`~repro.machine.soc.SoC`
   disables only the decode cache and the lookaside.
 

@@ -279,13 +279,13 @@ class Snapshot:
         platform.image = self.image
         platform.boot_report = self.boot_report
 
-    def clone(self, *, fastpath: bool = True, trace: bool = False):
+    def clone(self, *, engine: str = "fast"):
         """A brand-new platform carrying this state (O(memcpy)).
 
-        ``fastpath``/``trace`` select the execution engine of the clone
-        (the uncached reference, the cached fast path, or the recording
-        trace tier); neither is part of the snapshot because the
-        engines are architecturally identical.
+        ``engine`` selects the execution engine of the clone (the
+        uncached ``reference``, the cached ``fast`` path, or the
+        recording ``trace`` tier); it is not part of the snapshot
+        because the engines are architecturally identical.
         """
         from repro.core.platform import TrustLitePlatform
 
@@ -296,8 +296,7 @@ class Snapshot:
             os_extra_regions=self.config.os_extra_regions,
             flash_prom=self.config.flash_prom,
             with_dma=self.config.with_dma,
-            fastpath=fastpath,
-            trace=trace,
+            engine=engine,
         )
         self.restore(platform, fresh=True)
         return platform

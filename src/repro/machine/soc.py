@@ -57,8 +57,7 @@ class SoC:
         reset_vector: int = PROM_BASE,
         flash_prom: bool = False,
         with_dma: bool = False,
-        fastpath: bool = True,
-        trace: bool = False,
+        engine: str = "fast",
     ) -> None:
         self.bus = Bus()
         self.irq = InterruptController()
@@ -92,8 +91,7 @@ class SoC:
             self.bus,
             self.irq,
             reset_vector=reset_vector,
-            fastpath=fastpath,
-            trace=trace,
+            engine=engine,
         )
         # Bound trace batches: a batched run never crosses the next
         # device event, so ``bus.tick(batch)`` fires IRQs at exactly
@@ -104,7 +102,7 @@ class SoC:
         """One CPU step plus device time; returns cycles elapsed.
 
         With a ``budget`` (as :meth:`run` supplies), a step on a
-        ``trace=True`` core may batch-execute a recorded trace — many
+        trace-engine core may batch-execute a recorded trace — many
         instructions, one device tick, identical event timing.
         """
         cycles = self.cpu.step(budget)

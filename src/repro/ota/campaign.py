@@ -36,11 +36,16 @@ from dataclasses import asdict, dataclass
 from repro.core.platform import TrustLitePlatform
 from repro.core.trustlet_table import name_tag
 from repro.crypto import mac, sponge_hash
-from repro.errors import ContainerError, FleetError, ReproError
+from repro.errors import FleetError, ReproError
 from repro.fleet.device import FleetDevice
-from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
-from repro.fleet.parallel import _cached_snapshot, _maybe_crash_for_test
-from repro.fleet.service import _recovery_lines, device_key
+from repro.fleet.executor import (
+    RecoveryLog,
+    RetryPolicy,
+    format_execution,
+    run_resilient,
+)
+from repro.fleet.parallel import _maybe_crash_for_test, hydrate_devices
+from repro.fleet.service import device_key
 from repro.fleet.transport import (
     ACK,
     CHUNK,
@@ -52,6 +57,7 @@ from repro.fleet.verifier import HEALTHY, FleetVerifier
 from repro.machine.snapcodec import encode_snapshot
 from repro.machine.snapshot import Snapshot
 from repro.ota.container import (
+    FirmwareContainer,
     build_container,
     decode_container,
     encode_container,
@@ -81,6 +87,39 @@ def trust_root_key(seed: int) -> bytes:
     """The campaign's update-signing key (derived, never stored)."""
     return mac(
         sponge_hash(f"ota-root:{seed}".encode("ascii")), b"trust-root"
+    )
+
+
+@dataclass(frozen=True)
+class SignedRelease:
+    """The campaign's signed containers, decoded and encoded."""
+
+    trust_root: bytes
+    v1: FirmwareContainer
+    v2: FirmwareContainer
+    v1_bytes: bytes
+    v2_bytes: bytes
+
+
+def build_release(seed: int, image_v1) -> SignedRelease:
+    """Sign ``image_v1`` as v1 and its v2 update under ``seed``'s root.
+
+    v2 is the attestation image with the OS timer period
+    :data:`V2_TIMER_PERIOD`.  Shared by :func:`run_campaign` and the
+    fault campaign's OTA scenarios, so both push the same bytes.
+    """
+    root = trust_root_key(seed)
+    image_v2 = build_attestation_image(timer_period=V2_TIMER_PERIOD)
+    v1 = build_container(
+        image_v1, image_name="attestation", fw_version=1,
+        signing_key=root,
+    )
+    v2 = build_container(
+        image_v2, image_name="attestation", fw_version=2,
+        signing_key=root,
+    )
+    return SignedRelease(
+        root, v1, v2, encode_container(v1), encode_container(v2)
     )
 
 
@@ -146,6 +185,17 @@ class OtaConfig:
             raise FleetError(
                 f"fail must be 'none' or 'canary': {self.fail!r}"
             )
+        if self.corrupt_chunk < -1:
+            raise FleetError(
+                f"corrupt_chunk must be >= -1: {self.corrupt_chunk}"
+            )
+        # Check the link parameters here, before the golden boot, not
+        # inside the first device update.
+        FaultModel(
+            drop_rate=self.drop_rate,
+            delay_min=self.delay_min,
+            delay_max=self.delay_max,
+        )
 
 
 @dataclass(frozen=True)
@@ -180,11 +230,14 @@ class DeviceUpdateTask:
 
 
 def _hydrate(task: DeviceUpdateTask) -> TrustLitePlatform:
-    """Clone the golden snapshot and key the crypto engine."""
-    snapshot = _cached_snapshot(task.snapshot_blob)
-    platform = snapshot.clone()
-    platform.soc.crypto.set_key(task.key)
-    return platform
+    """Clone the golden snapshot with the device key loaded.
+
+    The attached attestation image is harmless: the first
+    ``boot_signed`` clears it.
+    """
+    return hydrate_devices(
+        task.snapshot_blob, "attestation", {task.device_id: task.key}
+    )[task.device_id].platform
 
 
 def _transfer_chunks(
@@ -442,9 +495,7 @@ def _build_task(
     device_id: int,
     *,
     snapshot_blob: bytes,
-    container_v1: bytes,
-    container_v2: bytes,
-    trust_root: bytes,
+    release: SignedRelease,
     tamper: bool,
     action: str,
 ) -> DeviceUpdateTask:
@@ -452,9 +503,9 @@ def _build_task(
         device_id=device_id,
         seed=config.seed,
         snapshot_blob=snapshot_blob,
-        container_v1=container_v1,
-        container_v2=container_v2,
-        trust_root=trust_root,
+        container_v1=release.v1_bytes,
+        container_v2=release.v2_bytes,
+        trust_root=release.trust_root,
         key=device_key(config.seed, device_id),
         chunk_size=config.chunk_size,
         drop_rate=config.drop_rate,
@@ -486,18 +537,7 @@ def run_campaign(
     image_v1 = build_attestation_image()
     golden.boot(image_v1)
     snapshot_blob = encode_snapshot(Snapshot.save(golden))
-    root = trust_root_key(config.seed)
-    image_v2 = build_attestation_image(timer_period=V2_TIMER_PERIOD)
-    container_v1 = build_container(
-        image_v1, image_name="attestation", fw_version=1,
-        signing_key=root,
-    )
-    container_v2 = build_container(
-        image_v2, image_name="attestation", fw_version=2,
-        signing_key=root,
-    )
-    v1_bytes = encode_container(container_v1)
-    v2_bytes = encode_container(container_v2)
+    release = build_release(config.seed, image_v1)
 
     policy = policy or RetryPolicy(
         max_attempts=config.max_attempts,
@@ -513,9 +553,7 @@ def run_campaign(
                 config,
                 device_id,
                 snapshot_blob=snapshot_blob,
-                container_v1=v1_bytes,
-                container_v2=v2_bytes,
-                trust_root=root,
+                release=release,
                 tamper=device_id in tamper_ids,
                 action=action,
             )
@@ -624,7 +662,7 @@ def run_campaign(
         }
         break
 
-    target = container_v2.fw_version
+    target = release.v2.fw_version
     on_target = sorted(
         device_id
         for device_id, version in final_versions.items()
@@ -638,14 +676,14 @@ def run_campaign(
         "schema": SCHEMA,
         "config": asdict(config),
         "container": {
-            "image": container_v2.image_name,
-            "fw_version": container_v2.fw_version,
-            "previous_version": container_v1.fw_version,
-            "bytes": len(v2_bytes),
-            "signature": container_v2.signature.hex(),
+            "image": release.v2.image_name,
+            "fw_version": release.v2.fw_version,
+            "previous_version": release.v1.fw_version,
+            "bytes": len(release.v2_bytes),
+            "signature": release.v2.signature.hex(),
             "measurements": {
                 m.module: m.digest.hex()
-                for m in container_v2.measurements
+                for m in release.v2.measurements
             },
         },
         "waves": waves_report,
@@ -673,10 +711,7 @@ def format_ota_report(report: dict) -> str:
         f"{container['image']} v{container['previous_version']} -> "
         f"v{container['fw_version']} ({container['bytes']} bytes)"
     )
-    execution = report.get("execution")
-    if execution:
-        lines.append(f"execution: {execution['workers']} worker(s)")
-        lines.extend(_recovery_lines(execution.get("recovery", {})))
+    lines.extend(format_execution(report.get("execution")))
     for wave in report["waves"]:
         transfer = wave["transfer"]
         lines.append(

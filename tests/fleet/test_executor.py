@@ -15,6 +15,7 @@ from repro.fleet.executor import (
     WORKER_CRASH,
     RecoveryLog,
     RetryPolicy,
+    format_execution,
     run_resilient,
 )
 from repro.fleet.parallel import _CRASH_ENV
@@ -106,6 +107,36 @@ class TestRecoveryLog:
     def test_unknown_kind_rejected(self):
         with pytest.raises(FleetError):
             RecoveryLog().record("meteor_strike", "s0", 1)
+
+
+class TestFormatExecution:
+    def test_disturbed_run_itemizes_recovery(self):
+        log = RecoveryLog()
+        log.record(WORKER_CRASH, "s0", 1)
+        log.record(POOL_REBUILD, None, 1, backoff_cycles=4096)
+        log.record(TASK_TIMEOUT, "s1", 1)
+        log.record(DEGRADED, None, 2)
+        execution = {
+            "workers": 2, "shard_size": 4, "shards": 3, "engine": "trace",
+            "recovery": log.to_dict(),
+        }
+        assert format_execution(execution) == [
+            "execution: 2 worker(s), 3 shard(s) of <= 4, trace engine",
+            "recovery: 4 event(s) — 1 worker crash(es), 1 timeout(s), "
+            "0 retry(ies), 1 pool rebuild(s)",
+            "recovery backoff: 4096 simulated cycle(s)",
+            "recovery degraded: pool abandoned, survivors ran in-process",
+        ]
+
+    def test_optional_parts(self):
+        assert format_execution(None) == []
+        assert format_execution({"workers": 1}) == [
+            "execution: 1 worker(s)"
+        ]
+        assert format_execution(
+            {"workers": 3, "engine": "fast",
+             "recovery": RecoveryLog().to_dict()}
+        ) == ["execution: 3 worker(s), fast engine", "recovery: none"]
 
 
 class TestRunResilient:

@@ -5,7 +5,7 @@ routing cache) and the trace engine stacked on top of it (recorded
 superinstruction regions, :mod:`repro.machine.traces`) claim to be
 semantically invisible.  This harness *proves* it per workload: every
 canned guest program is run on the reference engine
-(``fastpath=False``) and once per cached tier (``fast``, ``trace``),
+(``engine="reference"``) and once per cached tier (``fast``, ``trace``),
 and the platforms must end in bit-identical architectural state:
 register file, memories, device internals, EA-MPU region file, pending
 interrupts, cycle totals, retired-instruction counts, fault addresses,
@@ -60,8 +60,8 @@ WORKLOADS = {
 
 #: The cached engine tiers, each diffed against the reference.
 ENGINES = {
-    "fast": {"fastpath": True},
-    "trace": {"fastpath": True, "trace": True},
+    "fast": {"engine": "fast"},
+    "trace": {"engine": "trace"},
 }
 
 MAX_CYCLES = 150_000
@@ -109,7 +109,7 @@ def _assert_identical(fast, slow, fast_trace, slow_trace):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_lockstep(name):
     build_image = WORKLOADS[name]
-    slow, slow_trace = _run(build_image, fastpath=False)
+    slow, slow_trace = _run(build_image, engine="reference")
     assert slow_trace.retired > 0, "workload retired no instructions"
     for engine_name, engine in ENGINES.items():
         cached, cached_trace = _run(build_image, **engine)
@@ -125,7 +125,7 @@ def test_lockstep(name):
 def test_lockstep_warm_reset(engine_name):
     """Re-boot through the loader (MPU reprogramming) stays identical."""
     cached, _ = _run(WORKLOADS["two-counter"], **ENGINES[engine_name])
-    slow, _ = _run(WORKLOADS["two-counter"], fastpath=False)
+    slow, _ = _run(WORKLOADS["two-counter"], engine="reference")
     for platform in (cached, slow):
         platform.warm_reset()
     cached_trace = Tracer(capacity=TRACE_CAPACITY).attach(cached.cpu)
@@ -139,7 +139,7 @@ def test_lockstep_warm_reset(engine_name):
 def test_lockstep_across_snapshot_clone(engine_name):
     """A clone of a warmed cached platform replays like the reference."""
     cached, _ = _run(WORKLOADS["ipc"], **ENGINES[engine_name])
-    slow, _ = _run(WORKLOADS["ipc"], fastpath=False)
+    slow, _ = _run(WORKLOADS["ipc"], engine="reference")
     clone = Snapshot.save(cached).clone(**ENGINES[engine_name])
     clone_trace = Tracer(capacity=TRACE_CAPACITY).attach(clone.cpu)
     slow_trace = Tracer(capacity=TRACE_CAPACITY).attach(slow.cpu)

@@ -32,13 +32,13 @@ from repro.sw.images import os_module
 RAM_SIZE = 0x8000
 
 
-def _machine(source: str, *, fastpath: bool = True) -> Cpu:
+def _machine(source: str, *, engine: str = "fast") -> Cpu:
     bus = Bus()
     ram = Ram("ram", RAM_SIZE)
     bus.attach(0, ram)
     program = assemble(source, base=0)
     ram.load(0, program.data)
-    cpu = Cpu(bus, fastpath=fastpath)
+    cpu = Cpu(bus, engine=engine)
     cpu.sp = RAM_SIZE
     cpu._program = program  # symbols for the tests
     return cpu
@@ -89,8 +89,8 @@ spin:
         assert cache.invalidations > 0, "patch never invalidated an entry"
 
     def test_matches_reference_engine(self):
-        fast = _machine(self._patch_program(), fastpath=True)
-        slow = _machine(self._patch_program(), fastpath=False)
+        fast = _machine(self._patch_program(), engine="fast")
+        slow = _machine(self._patch_program(), engine="reference")
         _run(fast)
         _run(slow)
         assert fast.regs == slow.regs
@@ -222,7 +222,7 @@ class TestSnapshotRestoreIntoWarmedCache:
         snapshot = Snapshot.save(donor)
 
         snapshot.restore(warmed)
-        reference = TrustLitePlatform(fastpath=False)
+        reference = TrustLitePlatform(engine="reference")
         reference.boot(_counter_image(stride=5))
         snapshot.restore(reference)
 
@@ -249,8 +249,8 @@ class TestSnapshotRestoreIntoWarmedCache:
 
 
 class TestLookasideStats:
-    def _stepped_mpu(self, *, fastpath: bool) -> "EaMpu":
-        cpu = _machine("main:\n    nop\n    jmp main\n", fastpath=fastpath)
+    def _stepped_mpu(self, *, engine: str) -> "EaMpu":
+        cpu = _machine("main:\n    nop\n    jmp main\n", engine=engine)
         mpu = EaMpu(num_regions=4)
         mpu.program_region(0, 0x0000, 0x1000, Perm.RX, subjects=ANY_SUBJECT)
         mpu.set_enabled(True)
@@ -260,8 +260,8 @@ class TestLookasideStats:
         return mpu
 
     def test_hit_still_counts_as_check(self):
-        fast = self._stepped_mpu(fastpath=True)
-        slow = self._stepped_mpu(fastpath=False)
+        fast = self._stepped_mpu(engine="fast")
+        slow = self._stepped_mpu(engine="reference")
         # ``checks`` keeps its meaning: one per fetched word (8-byte
         # instructions check twice), identical on both engines.
         assert fast.stats.checks == slow.stats.checks == 15
@@ -273,7 +273,7 @@ class TestLookasideStats:
         assert fast.stats.lookaside_hits > 0
 
     def test_uncached_engine_never_touches_lookaside(self):
-        slow = self._stepped_mpu(fastpath=False)
+        slow = self._stepped_mpu(engine="reference")
         assert slow.stats.lookaside_hits == 0
         assert slow.stats.lookaside_misses == 0
 

@@ -79,8 +79,8 @@ class TestLockstep:
 
     def test_decoded_clone_reference_engine_lockstep(self, golden):
         decoded = decode_snapshot(encode_snapshot(golden))
-        fast = decoded.clone(fastpath=True)
-        reference = decoded.clone(fastpath=False)
+        fast = decoded.clone(engine="fast")
+        reference = decoded.clone(engine="reference")
         fast.run(max_cycles=20_000)
         reference.run(max_cycles=20_000)
         assert encode_snapshot(Snapshot.save(fast)) == encode_snapshot(

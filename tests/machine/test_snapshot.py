@@ -68,14 +68,14 @@ class TestClone:
     def test_clone_engine_selection(self, booted):
         _platform, snapshot = booted
         assert snapshot.clone().cpu.fastpath is not None
-        assert snapshot.clone(fastpath=True).cpu.fastpath is not None
-        assert snapshot.clone(fastpath=False).cpu.fastpath is None
+        assert snapshot.clone(engine="fast").cpu.fastpath is not None
+        assert snapshot.clone(engine="reference").cpu.fastpath is None
 
     def test_reference_clone_equals_golden(self, booted):
         # The engine is host-side machinery, not architectural state:
         # a reference-engine clone re-captures to the same snapshot.
         _platform, snapshot = booted
-        clone = snapshot.clone(fastpath=False)
+        clone = snapshot.clone(engine="reference")
         assert Snapshot.save(clone) == snapshot
 
 

@@ -18,7 +18,7 @@ recorded trace is exercised here end to end:
   taken at exactly the same instruction as on the reference engine
   (swept timer periods walk the delivery point across the loop body).
 
-The architectural ground rule throughout: ``trace=True`` may only
+The architectural ground rule throughout: ``engine="trace"`` may only
 change how fast the simulation runs, never what it computes.
 """
 
@@ -41,13 +41,13 @@ RAM_SIZE = 0x8000
 BUDGET = 4_000
 
 
-def _machine(source: str, *, fastpath=True, trace=False) -> Cpu:
+def _machine(source: str, *, engine="fast") -> Cpu:
     bus = Bus()
     ram = Ram("ram", RAM_SIZE)
     bus.attach(0, ram)
     program = assemble(source, base=0)
     ram.load(0, program.data)
-    cpu = Cpu(bus, fastpath=fastpath, trace=trace)
+    cpu = Cpu(bus, engine=engine)
     cpu.sp = RAM_SIZE
     cpu._program = program  # symbols for the tests
     return cpu
@@ -76,13 +76,13 @@ loop:
 
 
 class TestEngineContract:
-    def test_trace_requires_fastpath(self):
-        with pytest.raises(MachineError):
-            _machine("main:\n    halt\n", fastpath=False, trace=True)
+    def test_unknown_engine_is_rejected(self):
+        with pytest.raises(MachineError, match="unknown engine 'turbo'"):
+            _machine("main:\n    halt\n", engine="turbo")
 
     def test_plain_step_never_enters_traces(self):
         """Single-stepping (no budget) stays on the interpreter."""
-        cpu = _machine(_loop_source(), trace=True)
+        cpu = _machine(_loop_source(), engine="trace")
         for _ in range(2_000):
             if cpu.halted:
                 break
@@ -91,8 +91,8 @@ class TestEngineContract:
         assert cpu.fastpath.traces.stats["runs"] == 0
 
     def test_budgeted_run_batches_and_matches_reference(self):
-        traced = _machine(_loop_source(), trace=True)
-        slow = _machine(_loop_source(), fastpath=False)
+        traced = _machine(_loop_source(), engine="trace")
+        slow = _machine(_loop_source(), engine="reference")
         _run(traced)
         _run(slow, budget=None)
         stats = traced.fastpath.traces.stats
@@ -136,7 +136,7 @@ done:
 """
 
     def test_store_into_own_trace_takes_effect_immediately(self):
-        cpu = _machine(self._program(), trace=True)
+        cpu = _machine(self._program(), engine="trace")
         _run(cpu)
         # Second pass must execute the patched ``movi r0, 99``, not a
         # stale superinstruction fused from the original bytes.
@@ -147,8 +147,8 @@ done:
         assert stats["invalidations"] >= 1, "patch never killed the trace"
 
     def test_matches_reference_engine(self):
-        traced = _machine(self._program(), trace=True)
-        slow = _machine(self._program(), fastpath=False)
+        traced = _machine(self._program(), engine="trace")
+        slow = _machine(self._program(), engine="reference")
         _run(traced)
         _run(slow, budget=None)
         assert traced.regs == slow.regs
@@ -169,7 +169,7 @@ loop:
     addi r1, r1, 1
     jmp loop
 """,
-            trace=True,
+            engine="trace",
         )
         mpu = EaMpu(num_regions=8)
         mpu.program_region(0, 0x0000, 0x1000, Perm.RX, subjects=ANY_SUBJECT)
@@ -214,7 +214,7 @@ class TestSnapshotRestoreIntoWarmedTraceCache:
         bytes at the same addresses (counter stride 1 vs 5); a stale
         superinstruction would keep counting with the old stride.
         """
-        warmed = TrustLitePlatform(trace=True)
+        warmed = TrustLitePlatform(engine="trace")
         warmed.boot(build_two_counter_image(timer_period=400))
         warmed.run(max_cycles=60_000)
         assert warmed.cpu.fastpath.traces.stats["recorded"] > 0
@@ -244,7 +244,7 @@ class TestSnapshotRestoreIntoWarmedTraceCache:
         snapshot = Snapshot.save(donor)
 
         snapshot.restore(warmed)
-        reference = TrustLitePlatform(fastpath=False)
+        reference = TrustLitePlatform(engine="reference")
         reference.boot(stride5())
         snapshot.restore(reference)
 
@@ -257,11 +257,11 @@ class TestSnapshotRestoreIntoWarmedTraceCache:
         )
 
     def test_clone_starts_with_cold_trace_cache(self):
-        platform = TrustLitePlatform(trace=True)
+        platform = TrustLitePlatform(engine="trace")
         platform.boot(build_two_counter_image(timer_period=400))
         platform.run(max_cycles=60_000)
         assert platform.cpu.fastpath.traces.stats["runs"] > 0
-        clone = Snapshot.save(platform).clone(trace=True)
+        clone = Snapshot.save(platform).clone(engine="trace")
         assert clone.cpu.fastpath.traces.stats["traces"] == 0
         clone.run(max_cycles=40_000)
         # And the clone's trace cache warms independently afterwards.
@@ -288,8 +288,8 @@ class TestIrqDeliveryAtEveryTraceOffset:
             platform.run(max_cycles=40_000)
             return platform, tracer
 
-        traced, traced_stream = run(fastpath=True, trace=True)
-        slow, slow_stream = run(fastpath=False)
+        traced, traced_stream = run(engine="trace")
+        slow, slow_stream = run(engine="reference")
         snap_traced = Snapshot.save(traced)
         snap_slow = Snapshot.save(slow)
         assert snap_traced.cpu == snap_slow.cpu

@@ -7,6 +7,14 @@ import pytest
 from repro.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
 
 
+def execution_lines(text: str) -> list[str]:
+    """The ``execution:`` and ``recovery...`` lines of a text report."""
+    return [
+        line for line in text.splitlines()
+        if line.startswith(("execution:", "recovery"))
+    ]
+
+
 class TestCommands:
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
@@ -51,6 +59,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "3 devices" in out
         assert "verdict: OK" in out
+
+    def test_fleet_text_execution_lines(self, capsys):
+        assert main([
+            "fleet", "--devices", "4", "--seed", "7",
+            "--workers", "2", "--shard-size", "2",
+        ]) == EXIT_OK
+        assert execution_lines(capsys.readouterr().out) == [
+            "execution: 2 worker(s), 2 shard(s) of <= 2, fast engine",
+            "recovery: none",
+        ]
 
     def test_fleet_json_report(self, capsys):
         assert main([
@@ -189,12 +207,16 @@ class TestFleetResilienceFlags:
             ["--backoff", "-1"],
             ["--timeout-cycles", "0"],
             ["--retries", "-1"],
+            ["--drop-rate", "1.5"],
+            ["--delay-min", "600"],
         ],
     )
     def test_bad_resilience_values_are_usage_errors(self, extra, capsys):
         assert main(
             ["fleet", "--devices", "2"] + extra
         ) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("fleet: ") and err.count("\n") == 1
 
 
 class TestServe:
@@ -210,6 +232,10 @@ class TestServe:
         assert "serve: 3 devices" in out
         assert "admission:" in out
         assert "verdict: OK" in out
+        assert execution_lines(out) == [
+            "execution: 1 worker(s), fast engine",
+            "recovery: none",
+        ]
 
     def test_json_report(self, capsys):
         assert main(self.SMALL + ["--json"]) == EXIT_OK
@@ -248,11 +274,14 @@ class TestServe:
              "--burst-length", "500"],
             ["--storm-up", "1000"],  # missing --storm-down
             ["--compromise", "9"],
+            ["--drop-rate", "1.5"],
+            ["--delay-min", "900"],
         ],
     )
     def test_bad_serve_values_are_usage_errors(self, extra, capsys):
         assert main(self.SMALL + extra) == EXIT_USAGE
-        assert "serve:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("serve: ") and err.count("\n") == 1
 
 
 class TestFaults:
@@ -276,6 +305,8 @@ class TestFaults:
         out = capsys.readouterr().out
         assert "fault campaign" in out
         assert "invariants: OK" in out
+        # The campaign report carries no execution section.
+        assert execution_lines(out) == []
 
     @pytest.mark.parametrize(
         "extra",
@@ -289,6 +320,8 @@ class TestFaults:
     )
     def test_bad_values_are_usage_errors(self, extra, capsys):
         assert main(["faults"] + extra) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("faults: ") and err.count("\n") == 1
 
 
 class TestOta:
@@ -306,6 +339,10 @@ class TestOta:
         out = capsys.readouterr().out
         assert "gate PASS" in out
         assert "verdict: OK" in out
+        assert execution_lines(out) == [
+            "execution: 1 worker(s)",
+            "recovery: none",
+        ]
 
     def test_forced_canary_failure_exits_one(self, capsys):
         assert main(
@@ -324,11 +361,15 @@ class TestOta:
             ["--attempts", "0"],
             ["--workers", "0"],
             ["--cohort", "99"],
+            ["--corrupt-chunk", "-5"],
+            ["--drop-rate", "1.5"],
+            ["--delay-min", "-3"],
         ],
     )
     def test_bad_values_are_usage_errors(self, extra, capsys):
         assert main(self.SMALL + extra) == EXIT_USAGE
-        assert "ota:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("ota: ") and err.count("\n") == 1
 
 
 class TestLintContainer:
