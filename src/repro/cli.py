@@ -29,7 +29,7 @@ import json
 import sys
 from functools import partial
 
-from repro.errors import ReproError
+from repro.errors import ReproError, UsageError
 from repro.machine.access import AccessType
 
 EXIT_OK = 0
@@ -177,10 +177,15 @@ def _report_command(setup):
     ``setup(args)`` maps the flags to config objects and returns
     ``(run, format_text)``.  A bad ``--workers`` or any
     :class:`~repro.errors.ReproError` raised while building the config
-    is a usage error: ``<cmd>: <message>`` on stderr, exit 2.
-    Otherwise ``run()`` produces the report, printed as JSON or text,
-    and ``report["ok"]`` picks exit 0 or 1.
+    is a usage error: ``<cmd>: <message>`` on stderr, exit 2.  So is a
+    :class:`~repro.errors.UsageError` that ``run()`` raises before any
+    device work.  Otherwise ``run()`` produces the report, printed as
+    JSON or text, and ``report["ok"]`` picks exit 0 or 1.
     """
+
+    def usage(args, exc: ReproError) -> int:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     def command(args) -> int:
         try:
@@ -188,9 +193,11 @@ def _report_command(setup):
                 raise ReproError(f"workers must be >= 1: {args.workers}")
             run, format_text = setup(args)
         except ReproError as exc:
-            print(f"{args.command}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        report = run()
+            return usage(args, exc)
+        try:
+            report = run()
+        except UsageError as exc:
+            return usage(args, exc)
         print(json.dumps(report, indent=2) if args.json
               else format_text(report))
         return EXIT_OK if report["ok"] else EXIT_FINDINGS

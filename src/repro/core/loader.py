@@ -403,6 +403,26 @@ class SecureLoader:
         self.bus.write_word(address, value)
         report.memory_words_written += 1
 
+    def _zero_region(self, report: BootReport, base: int, size: int) -> None:
+        """Clear ``[base, base + size)`` word by word, as Fig. 5 counts it.
+
+        A word-aligned region inside one plain writable RAM window is
+        cleared with one bulk bus write: same bytes, same word count,
+        and the write listeners still see the whole range.  Anything
+        else — an unaligned base or size, MMIO, PROM, an unmapped
+        region or one crossing a window end — takes the per-word path,
+        so every fault is raised exactly where a word store raises it.
+        """
+        if size and not (base | size) % 4 and any(
+            low <= base and base + size <= high
+            for low, high in self.bus.ram_write_windows()
+        ):
+            self.bus.write_bytes(base, bytes(size))
+            report.memory_words_written += size // 4
+            return
+        for address in range(base, base + size, 4):
+            self._write_word(report, address, 0)
+
     def _load_module(
         self, module: ParsedModule, report: BootReport, *, wipe_data: bool
     ) -> None:
@@ -412,12 +432,8 @@ class SecureLoader:
             )
         # Zero-initialize volatile regions (step 2b).
         if wipe_data:
-            for base, size in (
-                (module.data_base, module.data_size),
-                (module.stack_base, module.stack_size),
-            ):
-                for address in range(base, base + size, 4):
-                    self._write_word(report, address, 0)
+            self._zero_region(report, module.data_base, module.data_size)
+            self._zero_region(report, module.stack_base, module.stack_size)
 
         # Measure / verify the code region.
         measurement = b""

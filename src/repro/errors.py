@@ -132,6 +132,15 @@ class FleetError(ReproError):
     """Fleet orchestration failure (bad config, transport misuse)."""
 
 
+class UsageError(FleetError):
+    """A request that a run can only reject once it has built its inputs.
+
+    Raised before any device work starts (an OTA ``corrupt_chunk`` past
+    the last chunk of the signed container); the CLI reports it like a
+    bad flag, with exit code 2.
+    """
+
+
 class ShardExecutionError(FleetError):
     """A shard could not be executed after every recovery avenue.
 

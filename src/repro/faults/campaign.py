@@ -26,6 +26,7 @@ repo convention: 0 all invariants hold, 1 violations, 2 usage error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from repro.core.attestation import expected_measurements
@@ -107,8 +108,10 @@ class CampaignConfig:
                 "campaigns need max_retries >= 1 (the transport "
                 f"scenarios rely on re-challenges): {self.max_retries}"
             )
-        if self.backoff <= 0:
-            raise FaultError(f"backoff must be positive: {self.backoff}")
+        if not math.isfinite(self.backoff) or self.backoff <= 0:
+            raise FaultError(
+                f"backoff must be positive and finite: {self.backoff}"
+            )
         if self.step_cycles < 0:
             raise FaultError(
                 f"step_cycles must be >= 0: {self.step_cycles}"

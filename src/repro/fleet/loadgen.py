@@ -32,6 +32,7 @@ seed offer byte-identical load.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -74,9 +75,11 @@ class LoadProfile:
             raise FleetError(
                 f"duration_cycles must be >= 1: {self.duration_cycles}"
             )
-        if self.rate_per_kcycle <= 0:
+        if not math.isfinite(self.rate_per_kcycle) \
+                or self.rate_per_kcycle <= 0:
             raise FleetError(
-                f"rate_per_kcycle must be positive: {self.rate_per_kcycle}"
+                "rate_per_kcycle must be positive and finite: "
+                f"{self.rate_per_kcycle}"
             )
         if self.burst_every < 0 or self.burst_length < 0:
             raise FleetError("burst knobs must be >= 0")
@@ -88,6 +91,10 @@ class LoadProfile:
             raise FleetError(
                 f"burst_length {self.burst_length} exceeds burst_every "
                 f"{self.burst_every}"
+            )
+        if not math.isfinite(self.burst_multiplier):
+            raise FleetError(
+                f"burst_multiplier must be finite: {self.burst_multiplier}"
             )
         if self.burst_every and self.burst_multiplier <= 1.0:
             raise FleetError(

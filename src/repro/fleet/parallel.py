@@ -22,7 +22,8 @@ Hard rules that make this safe and reproducible:
   and aggregated metrics are byte-identical for 1, 2 or 4 workers.
 * **Workers re-derive host handles.**  A decoded snapshot carries no
   ``BuiltImage``; workers rebuild it from a registered builder name
-  (cached per process, like the decoded golden snapshot itself).
+  (the builders in :mod:`repro.sw.images` memoise per process, and the
+  decoded golden snapshot is cached here).
 
 :func:`run_shard` is a pure function of its :class:`ShardTask`, so the
 ``workers=1`` path simply calls it inline — identical results, no pool.
@@ -129,11 +130,11 @@ def _image_builders() -> dict:
     return {"attestation": build_attestation_image}
 
 
-# Per-process caches: a worker typically runs several shards of the
-# same experiment, and decoding the golden snapshot / assembling the
-# image once per process amortizes across them.
+# Per-process cache: a worker typically runs several shards of the
+# same experiment, and decoding the golden snapshot once per process
+# amortizes across them.  (Images need no cache here: the builders
+# memoise themselves.)
 _SNAPSHOT_CACHE: dict[bytes, object] = {}
-_IMAGE_CACHE: dict[str, object] = {}
 _CACHE_LIMIT = 4
 
 
@@ -149,17 +150,6 @@ def _cached_snapshot(blob: bytes):
     return snapshot
 
 
-def _cached_image(name: str):
-    image = _IMAGE_CACHE.get(name)
-    if image is None:
-        builders = _image_builders()
-        if name not in builders:
-            raise FleetError(f"unknown fleet image {name!r}")
-        image = builders[name]()
-        _IMAGE_CACHE[name] = image
-    return image
-
-
 def hydrate_devices(
     snapshot_blob: bytes,
     image_name: str,
@@ -173,13 +163,17 @@ def hydrate_devices(
 
     The one hydration path of the batch fleet, the service, the fault
     campaign and the OTA campaign: decode the golden snapshot (cached
-    per process), clone it on ``engine``, re-attach the image (a
-    decoded snapshot carries no host handles, and tampering needs the
-    image's layouts), load the device key, add a ring-buffer tracer
-    when ``trace_capacity`` is set, then tamper the ``compromised`` ids.
+    per process), clone it on ``engine``, re-attach the image (the
+    builder's per-process memo; a decoded snapshot carries no host
+    handles, and tampering needs the image's layouts), load the device
+    key, add a ring-buffer tracer when ``trace_capacity`` is set, then
+    tamper the ``compromised`` ids.
     """
     snapshot = _cached_snapshot(snapshot_blob)
-    image = _cached_image(image_name)
+    builder = _image_builders().get(image_name)
+    if builder is None:
+        raise FleetError(f"unknown fleet image {image_name!r}")
+    image = builder()
     devices: dict[int, FleetDevice] = {}
     for device_id, key in keys.items():
         platform = snapshot.clone(engine=engine)

@@ -24,6 +24,7 @@ Only the report's trailing ``execution`` section records the plan.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -91,8 +92,10 @@ class FleetConfig:
             raise FleetError(
                 f"max_retries must be >= 0: {self.max_retries}"
             )
-        if self.backoff <= 0:
-            raise FleetError(f"backoff must be positive: {self.backoff}")
+        if not math.isfinite(self.backoff) or self.backoff <= 0:
+            raise FleetError(
+                f"backoff must be positive and finite: {self.backoff}"
+            )
         if not 0 <= self.compromise <= self.devices:
             raise FleetError(
                 f"cannot compromise {self.compromise} of "

@@ -20,6 +20,7 @@ fault and nonce stream is keyed by device id.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.crypto import constant_time_equal
@@ -84,8 +85,10 @@ class FleetVerifier:
             raise FleetError("timeout_cycles must be positive")
         if max_retries < 0:
             raise FleetError(f"max_retries must be >= 0: {max_retries}")
-        if backoff <= 0:
-            raise FleetError(f"backoff must be positive: {backoff}")
+        if not math.isfinite(backoff) or backoff <= 0:
+            raise FleetError(
+                f"backoff must be positive and finite: {backoff}"
+            )
         self.devices = devices
         self.transport = transport
         self._keys = {i: bytes(k) for i, k in device_keys.items()}

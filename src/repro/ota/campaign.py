@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 from repro.core.platform import TrustLitePlatform
 from repro.core.trustlet_table import name_tag
 from repro.crypto import mac, sponge_hash
-from repro.errors import FleetError, ReproError
+from repro.errors import FleetError, ReproError, UsageError
 from repro.fleet.device import FleetDevice
 from repro.fleet.executor import (
     RecoveryLog,
@@ -532,12 +532,23 @@ def run_campaign(
     workers: int = 1,
     policy: RetryPolicy | None = None,
 ) -> dict:
-    """Run the staged campaign; returns the ``repro.ota/1`` report."""
-    golden = TrustLitePlatform()
+    """Run the staged campaign; returns the ``repro.ota/1`` report.
+
+    A ``corrupt_chunk`` at or past the v2 container's chunk count
+    raises :class:`~repro.errors.UsageError` before the golden boot:
+    only the built container knows how many chunks there are.
+    """
     image_v1 = build_attestation_image()
+    release = build_release(config.seed, image_v1)
+    chunks = -(-len(release.v2_bytes) // config.chunk_size)
+    if config.corrupt_chunk >= chunks:
+        raise UsageError(
+            f"corrupt_chunk {config.corrupt_chunk} is past the last of "
+            f"the container's {chunks} chunk(s)"
+        )
+    golden = TrustLitePlatform()
     golden.boot(image_v1)
     snapshot_blob = encode_snapshot(Snapshot.save(golden))
-    release = build_release(config.seed, image_v1)
 
     policy = policy or RetryPolicy(
         max_attempts=config.max_attempts,

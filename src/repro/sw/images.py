@@ -1,6 +1,13 @@
-"""Canned PROM images used by tests, examples and benchmarks."""
+"""Canned PROM images used by tests, examples and benchmarks.
+
+Every ``build_*`` function here is memoised per process (see
+:func:`_memoised`): the golden image of a fleet, service, fault or OTA
+run is assembled once, not once per call.
+"""
 
 from __future__ import annotations
+
+import functools
 
 from repro.core import layout
 from repro.core.image import (
@@ -15,6 +22,40 @@ from repro.machine.devices import timer as tm
 from repro.machine.devices import uart as um
 from repro.mpu.regions import Perm
 from repro.sw import kernel, runtime, trustlets
+
+
+#: Entries kept per builder.  The widest user is the probe matrix, at
+#: one entry per (operation, target) pair.
+MEMO_SIZE = 32
+
+
+def _memoised(builder):
+    """Build ``builder``'s image once per process and argument set.
+
+    Every builder takes keyword-only arguments, so the key is the
+    builder and its sorted arguments with the defaults folded in:
+    ``build_x()`` and ``build_x(timer_period=<default>)`` share one
+    entry.  A build is a pure function of that key, and every call
+    hands out the same :class:`~repro.core.image.BuiltImage`: no caller
+    mutates an image (``boot`` copies its PROM bytes into the device,
+    ``tamper_code`` writes the device's PROM, and ``boot_signed`` only
+    drops the platform's reference), so nothing is copied.  The raw
+    builder stays reachable as ``__wrapped__``; ``cache_info`` and
+    ``cache_clear`` are the bounded LRU's own.
+    """
+    defaults = builder.__kwdefaults__ or {}
+
+    @functools.lru_cache(maxsize=MEMO_SIZE)
+    def build(key: tuple):
+        return builder(**dict(key))
+
+    @functools.wraps(builder)
+    def memo(**kwargs):
+        return build(tuple(sorted({**defaults, **kwargs}.items())))
+
+    memo.cache_info = build.cache_info
+    memo.cache_clear = build.cache_clear
+    return memo
 
 
 def os_module(
@@ -55,6 +96,7 @@ def os_module(
     )
 
 
+@_memoised
 def build_two_counter_image(
     *, timer_period: int = 400, halt_on_fault: bool = True
 ):
@@ -72,6 +114,7 @@ def build_two_counter_image(
     return builder.build()
 
 
+@_memoised
 def build_ipc_image(*, timer_period: int = 600):
     """OS + sender/receiver pair: trustlet-to-trustlet IPC workload."""
     builder = ImageBuilder()
@@ -91,6 +134,7 @@ def build_ipc_image(*, timer_period: int = 600):
     return builder.build()
 
 
+@_memoised
 def build_ipc_heavy_image(*, timer_period: int = 600, depth: int = 96):
     """OS + compute-heavy sender/receiver pair with per-hop MPU writes.
 
@@ -132,6 +176,7 @@ def build_ipc_heavy_image(*, timer_period: int = 600, depth: int = 96):
     return builder.build()
 
 
+@_memoised
 def build_attestation_image(*, timer_period: int = 2000):
     """OS + attestation trustlet with exclusive crypto-engine access."""
     builder = ImageBuilder()
@@ -146,6 +191,7 @@ def build_attestation_image(*, timer_period: int = 2000):
     return builder.build()
 
 
+@_memoised
 def build_probe_image(
     *,
     operation: str = "read",
@@ -262,6 +308,7 @@ impl_resume:
     return source
 
 
+@_memoised
 def build_broken_image():
     """A deliberately-misconfigured image the static verifier must flag.
 

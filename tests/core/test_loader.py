@@ -5,10 +5,11 @@ import pytest
 from repro.core import layout
 from repro.core.image import ImageBuilder, SoftwareModule
 from repro.core.platform import TrustLitePlatform
+from repro.asm import assemble
 from repro.crypto import sponge_hash
-from repro.errors import LoaderError
+from repro.errors import AlignmentError, BusError, LoaderError
 from repro.machine.access import AccessType
-from repro.machine.soc import MPU_MMIO_BASE
+from repro.machine.soc import MPU_MMIO_BASE, SRAM_BASE, SRAM_SIZE, TIMER_BASE
 from repro.sw.images import build_two_counter_image
 from repro.sw import trustlets
 
@@ -209,3 +210,92 @@ class TestLoaderErrors:
         report = plat.boot(image)
         assert report.launched == "SOLO"
         assert plat.cpu.ip == image.layout_of("SOLO").init_ip
+
+
+class TestZeroFillParity:
+    """Step 2b clears a region in one bulk write only where a word loop
+    would do exactly the same: the paper-facing counters, every fault
+    and every cache invalidation stay those of the per-word path."""
+
+    def test_fig5_counters_are_pinned(self, booted):
+        plat, _, report = booted
+        assert (report.memory_words_written, report.mpu_register_writes) \
+            == (482, 129)
+        cold = plat.warm_reset(wipe_data=True)
+        assert (cold.memory_words_written, cold.mpu_register_writes) \
+            == (482, 129)
+        warm = plat.warm_reset(wipe_data=False)
+        assert (warm.memory_words_written, warm.mpu_register_writes) \
+            == (34, 129)
+
+    @staticmethod
+    def _hostile(data_base: int, data_size: int):
+        """A platform whose PROM gives the OS the data region asked for.
+
+        SRAM is filled with a pattern first, so any word the loader
+        clears shows.
+        """
+        blob = bytearray(build_two_counter_image().prom)
+        record = layout.PROM_DIRECTORY + 8  # the OS, loaded first
+        blob[record + 28:record + 32] = data_base.to_bytes(4, "little")
+        blob[record + 32:record + 36] = data_size.to_bytes(4, "little")
+        plat = TrustLitePlatform()
+        plat.soc.prom.load(0, bytes(blob))
+        plat.soc.sram.load(0, b"\xa5" * plat.soc.sram.size)
+        return plat
+
+    @pytest.mark.parametrize(
+        ("data_base", "data_size", "error"),
+        [
+            # Unaligned base: the first word store faults.
+            (SRAM_BASE + 0x102, 0x40, AlignmentError),
+            # Runs past the end of SRAM into unmapped space.
+            (SRAM_BASE + SRAM_SIZE - 0x40, 0x100, BusError),
+            # Lies over the timer's MMIO window (and past its end).
+            (TIMER_BASE, 0x100, BusError),
+        ],
+        ids=["unaligned", "past-sram", "over-mmio"],
+    )
+    def test_hostile_region_faults_like_word_stores(
+        self, data_base, data_size, error, monkeypatch
+    ):
+        plat = self._hostile(data_base, data_size)
+        with pytest.raises(error) as raised:
+            plat.loader.boot()
+        # The reference: an identical platform whose loader clears every
+        # region with the per-word loop alone.
+        ref = self._hostile(data_base, data_size)
+
+        def per_word(report, base, size):
+            for address in range(base, base + size, 4):
+                ref.loader._write_word(report, address, 0)
+
+        monkeypatch.setattr(ref.loader, "_zero_region", per_word)
+        with pytest.raises(error) as expected:
+            ref.loader.boot()
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+        assert plat.soc.sram.dump() == ref.soc.sram.dump()
+        assert plat.soc.timer.snapshot_state() == \
+            ref.soc.timer.snapshot_state()
+
+    @pytest.mark.parametrize("engine", ["fast", "trace"])
+    def test_zeroing_invalidates_cached_decodes(self, engine):
+        plat = TrustLitePlatform(engine=engine)
+        plat.boot(build_two_counter_image())
+        base = plat.image.layout_of("TL-A").data_base
+        loop = assemble("top:\n    addi r0, r0, 1\n    jmp top\n", base=base)
+        plat.bus.write_bytes(base, loop.data)
+        plat.mpu.set_enabled(False)
+        plat.cpu.ip = plat.cpu.curr_ip = base
+        plat.run(max_cycles=5_000)
+        fastpath = plat.cpu.fastpath
+        assert base in fastpath.decode_cache.entries
+        if engine == "trace":
+            assert fastpath.traces.stats["traces"] > 0
+        plat.warm_reset(wipe_data=True)
+        assert plat.bus.read_bytes(base, len(loop.data)) == \
+            bytes(len(loop.data))
+        assert base not in fastpath.decode_cache.entries
+        if engine == "trace":
+            assert fastpath.traces.stats["traces"] == 0

@@ -1,5 +1,7 @@
 """Tests for the seeded open-loop load generator."""
 
+import math
+
 import pytest
 
 from repro.errors import FleetError
@@ -34,6 +36,16 @@ class TestLoadProfile:
                     burst_multiplier=1.0)  # bursting needs > 1x
         with pytest.raises(FleetError):
             profile(storm_up_mean=1000)  # needs a down mean
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_are_rejected(self, bad):
+        # An infinite rate would pile every arrival onto one cycle and
+        # never finish; NaN would fail deep in the Poisson stream.
+        with pytest.raises(FleetError):
+            profile(rate_per_kcycle=bad)
+        with pytest.raises(FleetError):
+            profile(burst_every=1000, burst_length=100,
+                    burst_multiplier=bad)
 
     def test_burst_windows_cover_the_horizon(self):
         p = profile(

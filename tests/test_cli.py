@@ -205,6 +205,8 @@ class TestFleetResilienceFlags:
         [
             ["--backoff", "0"],
             ["--backoff", "-1"],
+            ["--backoff", "nan"],
+            ["--backoff", "inf"],
             ["--timeout-cycles", "0"],
             ["--retries", "-1"],
             ["--drop-rate", "1.5"],
@@ -270,6 +272,10 @@ class TestServe:
             ["--workers", "0"],
             ["--queue", "0"],
             ["--rate", "0"],
+            ["--rate", "nan"],
+            # Rejected by the config check; the run never starts.
+            ["--rate", "inf"],
+            ["--burst", "inf"],
             ["--burst", "0.5", "--burst-every", "1000",
              "--burst-length", "500"],
             ["--storm-up", "1000"],  # missing --storm-down
@@ -313,6 +319,8 @@ class TestFaults:
         [
             ["--retries", "0"],
             ["--backoff", "0"],
+            ["--backoff", "nan"],
+            ["--backoff", "inf"],
             ["--workers", "0"],
             ["--rounds", "0"],
             ["--timeout-cycles", "0"],
@@ -362,6 +370,9 @@ class TestOta:
             ["--workers", "0"],
             ["--cohort", "99"],
             ["--corrupt-chunk", "-5"],
+            # Past the signed container's last chunk: found once the
+            # release is built, before any device is updated.
+            ["--corrupt-chunk", "99"],
             ["--drop-rate", "1.5"],
             ["--delay-min", "-3"],
         ],
